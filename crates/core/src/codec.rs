@@ -34,6 +34,10 @@ pub fn get_prefix(buf: &mut &[u8]) -> Result<Prefix, String> {
     let v4 = buf.get_u8() == 1;
     let len = buf.get_u8();
     let bits = buf.get_u128();
+    let max = if v4 { 32 } else { 128 };
+    if len > max {
+        return Err(format!("prefix length {len} exceeds /{max}"));
+    }
     Ok(if v4 {
         Prefix::v4(Ipv4Addr::from((bits >> 96) as u32), len)
     } else {
@@ -158,4 +162,22 @@ pub fn open_frame(frame: &[u8]) -> Result<&[u8], String> {
         return Err("checkpoint frame checksum mismatch (torn write)".into());
     }
     Ok(payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prefix_length_out_of_range_is_an_error() {
+        for (prefix, max) in [("10.0.0.0/8", 32u8), ("2001:db8::/32", 128)] {
+            let mut out = BytesMut::new();
+            put_prefix(&mut out, &prefix.parse().unwrap());
+            let mut bytes = out.to_vec();
+            bytes[1] = max;
+            assert_eq!(get_prefix(&mut &bytes[..]).unwrap().len(), max);
+            bytes[1] = max + 1;
+            assert!(get_prefix(&mut &bytes[..]).is_err());
+        }
+    }
 }

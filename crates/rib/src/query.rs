@@ -8,19 +8,43 @@
 //! / [`peer`](RibQuery::peer) / [`collector`](RibQuery::collector),
 //! then resolve: [`table`](RibQuery::table) materializes the routing
 //! table *as of* the instant (time-travel), [`events`](RibQuery::events)
-//! returns the journal slice (what changed, when). Resolution is
-//! O(snapshot + delta): restore the latest sealed snapshot at or
-//! before the instant, replay the journal tail through the same
-//! transition function the fold used.
+//! returns the journal slice (what changed, when).
+//!
+//! Resolution is O(snapshot + delta) and reads the snapshot in place:
+//!
+//! 1. The latest sealed snapshot `S ≤ T` is opened (its checksum is
+//!    verified on every query) but not decoded into a [`RibTable`]:
+//!    its frame is already in canonical `(collector, peer, prefix)`
+//!    order, so it is streamed section by section, row by row.
+//! 2. The journal tail `[S, T]` is folded into a small delta table
+//!    through [`RibTable::apply`], the same transition function the
+//!    fold used, noting which `(peer, prefix)` cells it touched and
+//!    which peers it took down.
+//! 3. One canonical merge walks the snapshot's sections and the
+//!    delta's peers together: a touched cell takes the delta's route
+//!    (or is gone, when the delta has none), a peer the delta took
+//!    down drops its snapshot section, and a touched peer takes the
+//!    delta's latest ASN.
+//! 4. Narrowing happens before anything is built: the collector and
+//!    peer filters test each section header, the prefix and origin
+//!    filters each raw row, and only a row that passes is decoded
+//!    into a [`TableRow`].
+//!
+//! The answer is byte-identical to replaying the whole journal from
+//! genesis and filtering [`RibTable::view`] by hand
+//! (`tests/equivalence.rs`).
 
 use std::fmt;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{Asn, Prefix};
+use bgpstream::codec::{ip_sort_key, prefix_sort_key};
+use fxhash::FxHashMap;
 
 use crate::store::RibStore;
-use crate::table::{RibAction, RibEvent, RibTable, TableView};
+use crate::table::{RibAction, RibEvent, RibRoute, RibTable, TableReader, TableRow, TableView};
 
 /// Why a query could not resolve.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -127,9 +151,10 @@ impl RibQuery {
         self
     }
 
-    /// Materialize the routing table as of the queried instant:
-    /// latest snapshot `S ≤ T`, journal replay of `[S, T]`, canonical
-    /// row order, then the query's narrowing filters.
+    /// Materialize the routing table as of the queried instant: the
+    /// latest snapshot `S ≤ T` streamed in canonical order, the
+    /// journal tail `[S, T]` merged in, the query's narrowing filters
+    /// applied before any row is built.
     pub fn table(&self, store: &dyn RibStore) -> Result<TableView, RibError> {
         let watermark = store.watermark();
         if watermark == 0 {
@@ -142,24 +167,109 @@ impl RibQuery {
                 watermark,
             });
         }
-        let (mut table, from) = match store.snapshot_at(at) {
-            Some(snap) => (snap.table().map_err(RibError::Corrupt)?, snap.at),
-            None => (RibTable::new(), 0),
+        let snap = store.snapshot_at(at);
+        let frame = match &snap {
+            Some(snap) => Some(TableReader::open(snap.frame()).map_err(RibError::Corrupt)?),
+            None => None,
         };
-        // The snapshot holds events with time < from; the journal
-        // tail [from, at] is exactly what is missing.
-        for ev in store.events_in(from, at) {
-            table.apply(&ev);
+        // The snapshot holds events with time < S; the journal tail
+        // [S, at] is exactly what is missing.
+        let events = store.events_in(snap.as_ref().map_or(0, |s| s.at), at);
+        let mut delta = RibTable::new();
+        for ev in &events {
+            delta.apply(ev);
         }
-        let mut view = table.view(at);
-        view.rows.retain(|row| {
-            self.matches_meta(&row.collector, &row.peer)
-                && self.matches_prefix(&row.prefix)
-                && self
-                    .origin
-                    .is_none_or(|o| row.route.origin_asn() == Some(o))
-        });
-        Ok(view)
+        let rows = self
+            .merge(frame, &touched(&events, &delta))
+            .map_err(RibError::Corrupt)?;
+        Ok(TableView { at, rows })
+    }
+
+    /// Walk the snapshot's sections and the delta's peers in one
+    /// canonical merge, building a row only for a cell that passes the
+    /// query's filters.
+    fn merge(
+        &self,
+        mut frame: Option<TableReader<'_>>,
+        delta: &[DeltaPeer<'_>],
+    ) -> Result<Vec<TableRow>, String> {
+        let mut rows = Vec::new();
+        let mut delta = delta.iter().peekable();
+        loop {
+            let section = match frame.as_mut() {
+                Some(reader) => reader.next_section()?,
+                None => None,
+            };
+            let key = section
+                .as_ref()
+                .map(|s| (s.collector, ip_sort_key(&s.peer)));
+            // Peers the snapshot does not hold, ordered before it.
+            while let Some(d) = delta.next_if(|d| key.is_none_or(|k| d.key() < k)) {
+                if self.matches_meta(d.collector, &d.peer) {
+                    let peer = (d.collector.clone(), d.peer, d.peer_asn);
+                    self.push_cells(&mut rows, &peer, &d.cells);
+                }
+            }
+            let (Some(section), Some(reader)) = (section, frame.as_mut()) else {
+                return Ok(rows);
+            };
+            let d = delta.next_if(|d| key == Some(d.key()));
+            if !self.matches_meta(section.collector, &section.peer) {
+                continue;
+            }
+            let peer = match d {
+                Some(d) => (d.collector.clone(), d.peer, d.peer_asn),
+                None => (Arc::from(section.collector), section.peer, section.peer_asn),
+            };
+            let mut cells = d.map_or(&[][..], |d| &d.cells);
+            if d.is_some_and(|d| d.down) {
+                // Taken down in the delta: the snapshot section is void.
+                self.push_cells(&mut rows, &peer, cells);
+                continue;
+            }
+            while let Some(row) = reader.next_row()? {
+                // Touched cells up to this row's prefix go first; when
+                // one is this row's cell, the delta's value wins.
+                let key = prefix_sort_key(&row.prefix);
+                let upto = cells.partition_point(|(p, _)| prefix_sort_key(p) <= key);
+                let touched = cells[..upto].last().is_some_and(|(p, _)| *p == row.prefix);
+                self.push_cells(&mut rows, &peer, &cells[..upto]);
+                cells = &cells[upto..];
+                if !touched && self.matches_row(&row.prefix, row.origin) {
+                    let (collector, peer, peer_asn) = &peer;
+                    rows.push(TableRow {
+                        collector: collector.clone(),
+                        peer: *peer,
+                        peer_asn: *peer_asn,
+                        prefix: row.prefix,
+                        route: row.route()?,
+                    });
+                }
+            }
+            self.push_cells(&mut rows, &peer, cells);
+        }
+    }
+
+    /// Append the delta's live routes among `cells` that pass the
+    /// filters.
+    fn push_cells(
+        &self,
+        rows: &mut Vec<TableRow>,
+        (collector, peer, peer_asn): &(Arc<str>, IpAddr, Asn),
+        cells: &[(Prefix, Option<&RibRoute>)],
+    ) {
+        for (prefix, route) in cells {
+            let Some(route) = route else { continue };
+            if self.matches_row(prefix, route.origin_asn()) {
+                rows.push(TableRow {
+                    collector: collector.clone(),
+                    peer: *peer,
+                    peer_asn: *peer_asn,
+                    prefix: *prefix,
+                    route: (*route).clone(),
+                });
+            }
+        }
     }
 
     /// The journal slice for the [`history`](RibQuery::history)
@@ -186,6 +296,10 @@ impl RibQuery {
     fn matches_meta(&self, collector: &str, peer: &IpAddr) -> bool {
         self.collector.as_deref().is_none_or(|c| c == collector)
             && self.peer.is_none_or(|p| p == *peer)
+    }
+
+    fn matches_row(&self, prefix: &Prefix, origin: Option<Asn>) -> bool {
+        self.matches_prefix(prefix) && self.origin.is_none_or(|o| origin == Some(o))
     }
 
     fn matches_prefix(&self, prefix: &Prefix) -> bool {
@@ -232,12 +346,76 @@ impl RibQuery {
     }
 }
 
+/// One peer the journal tail touched: what the merge needs to lay its
+/// events over the snapshot.
+struct DeltaPeer<'d> {
+    collector: &'d Arc<str>,
+    peer: IpAddr,
+    /// The tail's latest ASN for the peer.
+    peer_asn: Asn,
+    /// The tail took the peer down, so the snapshot's section is void.
+    down: bool,
+    /// The cells the tail touched (since its last `PeerDown`), in
+    /// canonical prefix order, with the tail's final route; `None` is
+    /// a withdrawal.
+    cells: Vec<(Prefix, Option<&'d RibRoute>)>,
+}
+
+impl DeltaPeer<'_> {
+    fn key(&self) -> (&str, (bool, u128)) {
+        (self.collector, ip_sort_key(&self.peer))
+    }
+}
+
+/// Which peers and cells `events` touched, in canonical order, with the
+/// values `delta` (the same events folded) holds for them.
+fn touched<'d>(events: &'d [RibEvent], delta: &'d RibTable) -> Vec<DeltaPeer<'d>> {
+    let mut index: FxHashMap<(&str, IpAddr), usize> = FxHashMap::default();
+    let mut out: Vec<DeltaPeer<'d>> = Vec::new();
+    for ev in events {
+        let i = *index.entry((&ev.collector, ev.peer)).or_insert_with(|| {
+            out.push(DeltaPeer {
+                collector: &ev.collector,
+                peer: ev.peer,
+                peer_asn: ev.peer_asn,
+                down: false,
+                cells: Vec::new(),
+            });
+            out.len() - 1
+        });
+        let peer = &mut out[i];
+        match &ev.action {
+            RibAction::Announce { prefix, .. } | RibAction::Withdraw { prefix } => {
+                peer.cells.push((*prefix, None))
+            }
+            RibAction::PeerUp => {}
+            RibAction::PeerDown => {
+                peer.down = true;
+                peer.cells.clear();
+            }
+        }
+    }
+    for peer in &mut out {
+        peer.cells.sort_unstable_by_key(|(p, _)| prefix_sort_key(p));
+        peer.cells.dedup_by_key(|(p, _)| *p);
+        // Present: every event creates its peer's Loc-RIB.
+        if let Some(rib) = delta.loc_rib(peer.collector, &peer.peer) {
+            peer.peer_asn = rib.peer_asn;
+            for (prefix, route) in &mut peer.cells {
+                *route = rib.route(prefix);
+            }
+        }
+    }
+    out.sort_unstable_by(|a, b| a.key().cmp(&b.key()));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::{MemoryRibStore, Snapshot};
     use crate::table::{RibAction, RibRoute};
-    use bgp_types::AsPath;
+    use bgp_types::{AsPath, AsPathSegment};
     use std::sync::Arc;
 
     fn announce(
@@ -389,6 +567,66 @@ mod tests {
                 watermark: 200
             })
         );
+    }
+
+    #[test]
+    fn as_set_origin_survives_the_snapshot() {
+        let mut ev = announce(10, "rrc00", "10.0.0.9", 65001, "1.0.0.0/8", &[]);
+        if let RibAction::Announce { route, .. } = &mut ev.action {
+            route.path = Some(AsPath::from_segments(vec![
+                AsPathSegment::Sequence(vec![Asn(65001), Asn(3356)]),
+                AsPathSegment::Set(vec![Asn(7), Asn(8)]),
+            ]));
+        }
+        let journal = MemoryRibStore::new();
+        journal.publish(100, vec![ev.clone()], None);
+        let mut table = RibTable::new();
+        table.apply(&ev);
+        let snapped = MemoryRibStore::new();
+        snapped.publish(50, vec![ev], Some(Snapshot::seal(50, &table)));
+        snapped.publish(100, vec![], None);
+        for store in [&journal, &snapped] {
+            let q = RibQuery::new().at(60).origin_asn(Asn(8));
+            assert_eq!(q.table(store).unwrap().len(), 0);
+        }
+        let full = |store: &MemoryRibStore| RibQuery::new().at(60).table(store).unwrap().encode();
+        assert_eq!(full(&journal), full(&snapped));
+    }
+
+    #[test]
+    fn corrupt_snapshots_fail_with_corrupt() {
+        let mut table = RibTable::new();
+        table.apply(&announce(
+            10,
+            "rrc00",
+            "10.0.0.9",
+            65001,
+            "1.0.0.0/8",
+            &[65001, 20],
+        ));
+        let frame = table.seal();
+        // Frame length, version, section count, name, peer, peer ASN,
+        // up flag: then the route count and the row's prefix.
+        let count_at = 4 + 1 + 4 + 2 + "rrc00".len() + 17 + 4 + 1;
+        let len_at = count_at + 4 + 1;
+        let reseal = |at: usize, bytes: &[u8]| {
+            let mut payload = frame[4..frame.len() - 8].to_vec();
+            payload[at - 4..at - 4 + bytes.len()].copy_from_slice(bytes);
+            bgpstream::codec::seal_frame(&payload)
+        };
+        let frames = [
+            frame[..frame.len() - 2].to_vec(),
+            reseal(count_at, &u32::MAX.to_be_bytes()),
+            reseal(len_at, &[33]),
+        ];
+        for bad in frames {
+            let store = MemoryRibStore::new();
+            store.publish(100, vec![], Some(Snapshot::from_frame(50, bad)));
+            assert!(matches!(
+                RibQuery::new().at(60).table(&store),
+                Err(RibError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

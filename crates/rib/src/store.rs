@@ -5,9 +5,9 @@
 //! for every instant strictly below it), a **journal** of
 //! [`RibEvent`]s in stream order, and a sparse sequence of sealed
 //! **snapshots**. A snapshot stamped `at = S` contains exactly the
-//! events with `time < S`, so a query at `T` restores the latest
-//! snapshot `S ≤ T` and replays journal events with `S ≤ time ≤ T` on
-//! top — O(snapshot + delta) instead of O(stream).
+//! events with `time < S`, so a query at `T` streams the latest
+//! snapshot `S ≤ T` and merges journal events with `S ≤ time ≤ T`
+//! into it — O(snapshot + delta) instead of O(stream).
 //!
 //! Publication is *idempotent*: a [`publish`](RibStore::publish)
 //! whose `upto` does not advance the watermark is dropped whole.

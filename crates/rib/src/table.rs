@@ -18,16 +18,27 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use bgp_types::{AsPath, Asn, Community, CommunitySet, Prefix};
+use bgp_types::{AsPath, AsPathSegment, Asn, Community, CommunitySet, Prefix};
 use bgpstream::codec::{
-    get_ip, get_prefix, get_route, ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix,
-    put_route, seal_frame,
+    get_ip, get_prefix, ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix, put_route,
+    seal_frame,
 };
 use bytes::{Buf, BufMut, BytesMut};
 use fxhash::FxHashMap;
 
 /// Table serialization format version.
 const TABLE_VERSION: u8 = 1;
+
+/// Hop count that marks a path which is not one `AS_SEQUENCE`: a
+/// segment count follows, then `(set flag, length, ASNs)` per segment.
+/// Single-sequence paths keep `put_route`'s bytes, and `u16::MAX`
+/// stays its "absent".
+const SEGMENTED_PATH: u16 = u16::MAX - 1;
+
+/// The smallest encoded table row: a prefix, an absent path, no next
+/// hop, no communities and the timestamp. Reservations sized from a
+/// count read off the wire are bounded by the bytes left over this.
+const MIN_ROW_BYTES: usize = 18 + 2 + 1 + 2 + 8;
 
 /// One selected route as held in a peer's Loc-RIB.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -163,9 +174,113 @@ impl RibEvent {
     }
 }
 
+/// Append an optional path, keeping its segment structure (the shared
+/// [`put_route`] flattens it into one `AS_SEQUENCE`).
+fn put_rib_path(out: &mut BytesMut, path: &Option<AsPath>) {
+    match path.as_ref().map(AsPath::segments) {
+        None => put_route(out, path),
+        Some([AsPathSegment::Sequence(hops)]) if hops.len() < SEGMENTED_PATH as usize => {
+            put_route(out, path)
+        }
+        Some(segments) => {
+            out.put_u16(SEGMENTED_PATH);
+            out.put_u16(segments.len() as u16);
+            for seg in segments {
+                out.put_u8(matches!(seg, AsPathSegment::Set(_)) as u8);
+                out.put_u16(seg.len() as u16);
+                for asn in seg.asns() {
+                    out.put_u32(asn.0);
+                }
+            }
+        }
+    }
+}
+
+/// Walk a [`put_rib_path`] path, advancing `buf` past it and handing
+/// each segment's set flag and raw ASNs to `segment`. Returns `false`
+/// for an absent path.
+fn walk_rib_path<'a>(
+    buf: &mut &'a [u8],
+    mut segment: impl FnMut(bool, &'a [u8]),
+) -> Result<bool, String> {
+    match take(buf, 2, "truncated path count")?.get_u16() {
+        u16::MAX => return Ok(false),
+        SEGMENTED_PATH => {
+            let count = take(buf, 2, "truncated path segment count")?.get_u16();
+            for _ in 0..count {
+                let mut head = take(buf, 3, "truncated path segment")?;
+                let set = match head.get_u8() {
+                    0 => false,
+                    1 => true,
+                    k => return Err(format!("unknown path segment kind {k}")),
+                };
+                segment(
+                    set,
+                    take(buf, head.get_u16() as usize * 4, "truncated path segment")?,
+                );
+            }
+        }
+        hops => segment(false, take(buf, hops as usize * 4, "truncated path")?),
+    }
+    Ok(true)
+}
+
+/// Decode a [`put_rib_path`] path, advancing `buf` past it.
+fn get_rib_path(buf: &mut &[u8]) -> Result<Option<AsPath>, String> {
+    // Sized for the common single-sequence path.
+    let mut segments = Vec::with_capacity(1);
+    let present = walk_rib_path(buf, |set, hops| {
+        let asns = hops
+            .chunks_exact(4)
+            .map(|mut hop| Asn(hop.get_u32()))
+            .collect();
+        segments.push(if set {
+            AsPathSegment::Set(asns)
+        } else {
+            AsPathSegment::Sequence(asns)
+        });
+    })?;
+    Ok(present.then(|| AsPath::from_segments(segments)))
+}
+
+/// The last of a run of encoded ASNs.
+fn last_asn(asns: &[u8]) -> Option<Asn> {
+    let tail = asns.len().checked_sub(4)?;
+    let mut last = &asns[tail..];
+    Some(Asn(last.get_u32()))
+}
+
+/// Split the first `n` bytes off `buf`, or fail with `what`.
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], String> {
+    if buf.len() < n {
+        return Err(what.into());
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+/// Split the encoded route at the head of `buf` off without decoding
+/// it: its bytes, and the origin AS its path ends in.
+fn split_rib_route<'a>(buf: &mut &'a [u8]) -> Result<(&'a [u8], Option<Asn>), String> {
+    let start = *buf;
+    // What `AsPath::origin` says of the decoded path.
+    let mut origin = None;
+    walk_rib_path(buf, |set, asns| {
+        origin = if set { None } else { last_asn(asns) }
+    })?;
+    if take(buf, 1, "truncated route next-hop flag")?[0] == 1 {
+        take(buf, 17, "truncated ip")?;
+    }
+    let communities = take(buf, 2, "truncated route community count")?.get_u16() as usize;
+    take(buf, communities * 4, "truncated route communities")?;
+    take(buf, 8, "truncated route timestamp")?;
+    Ok((&start[..start.len() - buf.len()], origin))
+}
+
 /// Append a route's wire form to `out`.
 fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
-    put_route(out, &route.path);
+    put_rib_path(out, &route.path);
     match &route.next_hop {
         Some(ip) => {
             out.put_u8(1);
@@ -183,7 +298,7 @@ fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
 
 /// Decode a [`put_rib_route`] route, advancing `buf` past it.
 fn get_rib_route(buf: &mut &[u8]) -> Result<RibRoute, String> {
-    let path = get_route(buf)?;
+    let path = get_rib_path(buf)?;
     if buf.is_empty() {
         return Err("truncated route next-hop flag".into());
     }
@@ -391,48 +506,18 @@ impl RibTable {
     }
 
     /// Decode an [`encode`](RibTable::encode)d table.
-    pub fn decode(mut buf: &[u8]) -> Result<RibTable, String> {
-        if buf.len() < 5 {
-            return Err("truncated rib table header".into());
-        }
-        let version = buf.get_u8();
-        if version != TABLE_VERSION {
-            return Err(format!("unsupported rib table version {version}"));
-        }
-        let peer_count = buf.get_u32() as usize;
+    pub fn decode(buf: &[u8]) -> Result<RibTable, String> {
+        let mut reader = TableReader::new(buf)?;
         let mut table = RibTable::new();
-        for _ in 0..peer_count {
-            if buf.len() < 2 {
-                return Err("truncated rib table collector".into());
+        while let Some(section) = reader.next_section()? {
+            let cid = table.intern(&Arc::from(section.collector));
+            let mut rib = LocRib::new(section.peer_asn);
+            rib.up = section.up;
+            rib.routes.reserve(section.capacity);
+            while let Some(row) = reader.next_row()? {
+                rib.routes.insert(row.prefix, row.route()?);
             }
-            let name_len = buf.get_u16() as usize;
-            if buf.len() < name_len {
-                return Err("truncated rib table collector name".into());
-            }
-            let name: Arc<str> = String::from_utf8_lossy(&buf[..name_len])
-                .into_owned()
-                .into();
-            buf.advance(name_len);
-            let peer = get_ip(&mut buf)?;
-            if buf.len() < 4 + 1 + 4 {
-                return Err("truncated rib table peer".into());
-            }
-            let peer_asn = Asn(buf.get_u32());
-            let up = buf.get_u8() == 1;
-            let route_count = buf.get_u32() as usize;
-            let cid = table.intern(&name);
-            let mut rib = LocRib::new(peer_asn);
-            rib.up = up;
-            rib.routes.reserve(route_count);
-            for _ in 0..route_count {
-                let prefix = get_prefix(&mut buf)?;
-                let route = get_rib_route(&mut buf)?;
-                rib.routes.insert(prefix, route);
-            }
-            table.peers.insert((cid, peer), rib);
-        }
-        if !buf.is_empty() {
-            return Err("rib table: trailing bytes".into());
+            table.peers.insert((cid, section.peer), rib);
         }
         Ok(table)
     }
@@ -447,6 +532,124 @@ impl RibTable {
     /// torn writes.
     pub fn unseal(frame: &[u8]) -> Result<RibTable, String> {
         RibTable::decode(open_frame(frame)?)
+    }
+}
+
+/// A section header of an encoded table: one vantage point's Loc-RIB.
+pub(crate) struct Section<'a> {
+    pub collector: &'a str,
+    pub peer: IpAddr,
+    pub peer_asn: Asn,
+    pub up: bool,
+    /// How many rows a caller may reserve for: the section's row
+    /// count, bounded by the bytes left in the table.
+    pub capacity: usize,
+}
+
+/// A row of an encoded table with its route still undecoded.
+pub(crate) struct RawRow<'a> {
+    pub prefix: Prefix,
+    /// Origin AS of the route's path, read off the raw bytes.
+    pub origin: Option<Asn>,
+    route: &'a [u8],
+}
+
+impl RawRow<'_> {
+    /// Decode the route.
+    pub fn route(&self) -> Result<RibRoute, String> {
+        get_rib_route(&mut &self.route[..])
+    }
+}
+
+/// A streaming reader over an [`encode`](RibTable::encode)d table:
+/// section headers and raw rows in the canonical order they were
+/// written in, each route decoded only when asked for. Sections must
+/// strictly ascend by `(collector, peer)` and rows by prefix, so a
+/// frame that repeats or reorders them is rejected.
+pub(crate) struct TableReader<'a> {
+    buf: &'a [u8],
+    sections_left: u32,
+    rows_left: u32,
+    section: Option<(&'a str, (bool, u128))>,
+    prefix: Option<(bool, u8, u128)>,
+}
+
+impl<'a> TableReader<'a> {
+    /// Verify a [`seal`](RibTable::seal)ed frame's checksum and read
+    /// the table inside it.
+    pub fn open(frame: &'a [u8]) -> Result<Self, String> {
+        TableReader::new(open_frame(frame)?)
+    }
+
+    fn new(mut buf: &'a [u8]) -> Result<Self, String> {
+        let mut head = take(&mut buf, 5, "truncated rib table header")?;
+        let version = head.get_u8();
+        if version != TABLE_VERSION {
+            return Err(format!("unsupported rib table version {version}"));
+        }
+        Ok(TableReader {
+            buf,
+            sections_left: head.get_u32(),
+            rows_left: 0,
+            section: None,
+            prefix: None,
+        })
+    }
+
+    /// The next section header, skipping whatever rows of the current
+    /// section were not read; `None` after the last.
+    pub fn next_section(&mut self) -> Result<Option<Section<'a>>, String> {
+        while self.next_row()?.is_some() {}
+        if self.sections_left == 0 {
+            if !self.buf.is_empty() {
+                return Err("rib table: trailing bytes".into());
+            }
+            return Ok(None);
+        }
+        self.sections_left -= 1;
+        let buf = &mut self.buf;
+        let name_len = take(buf, 2, "truncated rib table collector")?.get_u16() as usize;
+        let collector =
+            std::str::from_utf8(take(buf, name_len, "truncated rib table collector name")?)
+                .map_err(|_| "rib table: collector name is not UTF-8".to_string())?;
+        let peer = get_ip(buf)?;
+        let mut head = take(buf, 4 + 1 + 4, "truncated rib table peer")?;
+        let peer_asn = Asn(head.get_u32());
+        let up = head.get_u8() == 1;
+        self.rows_left = head.get_u32();
+        let key = (collector, ip_sort_key(&peer));
+        if self.section.is_some_and(|prev| prev >= key) {
+            return Err("rib table: sections out of canonical order".into());
+        }
+        self.section = Some(key);
+        self.prefix = None;
+        Ok(Some(Section {
+            collector,
+            peer,
+            peer_asn,
+            up,
+            capacity: (self.rows_left as usize).min(self.buf.len() / MIN_ROW_BYTES),
+        }))
+    }
+
+    /// The current section's next row; `None` after its last.
+    pub fn next_row(&mut self) -> Result<Option<RawRow<'a>>, String> {
+        if self.rows_left == 0 {
+            return Ok(None);
+        }
+        self.rows_left -= 1;
+        let prefix = get_prefix(&mut self.buf)?;
+        let key = prefix_sort_key(&prefix);
+        if self.prefix.is_some_and(|prev| prev >= key) {
+            return Err("rib table: rows out of canonical order".into());
+        }
+        self.prefix = Some(key);
+        let (route, origin) = split_rib_route(&mut self.buf)?;
+        Ok(Some(RawRow {
+            prefix,
+            origin,
+            route,
+        }))
     }
 }
 
@@ -649,6 +852,114 @@ mod tests {
         let mut flipped = frame.clone();
         flipped[9] ^= 0x10;
         assert!(RibTable::unseal(&flipped).is_err());
+    }
+
+    /// A one-route table's encoding, and the offsets of its route
+    /// count and of its row's prefix length.
+    fn one_route_table() -> (Vec<u8>, usize, usize) {
+        let mut t = RibTable::new();
+        t.apply(&ev(
+            10,
+            "rrc00",
+            "10.0.0.9",
+            65001,
+            announce("1.0.0.0/8", &[65001, 20], 10),
+        ));
+        // version, section count, name, peer, peer ASN, up flag.
+        let count_at = 1 + 4 + 2 + "rrc00".len() + 17 + 4 + 1;
+        (t.encode(), count_at, count_at + 4 + 1)
+    }
+
+    #[test]
+    fn forged_route_count_is_an_error() {
+        let (mut bytes, count_at, _) = one_route_table();
+        bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(RibTable::unseal(&seal_frame(&bytes)).is_err());
+    }
+
+    #[test]
+    fn prefix_length_out_of_range_is_an_error() {
+        let (mut bytes, _, len_at) = one_route_table();
+        assert_eq!(bytes[len_at], 8);
+        bytes[len_at] = 33;
+        assert!(RibTable::unseal(&seal_frame(&bytes)).is_err());
+    }
+
+    #[test]
+    fn rows_out_of_canonical_order_are_an_error() {
+        let mut t = RibTable::new();
+        for (prefix, at) in [("1.0.0.0/8", 10), ("2.0.0.0/8", 11)] {
+            t.apply(&ev(
+                at,
+                "rrc00",
+                "10.0.0.9",
+                65001,
+                announce(prefix, &[65001, 20], at),
+            ));
+        }
+        let bytes = t.encode();
+        assert!(RibTable::decode(&bytes).is_ok());
+        // Both rows have the same length: swap them.
+        let (_, count_at, _) = one_route_table();
+        let rows = &bytes[count_at + 4..];
+        let half = rows.len() / 2;
+        let mut swapped = bytes[..count_at + 4].to_vec();
+        swapped.extend_from_slice(&rows[half..]);
+        swapped.extend_from_slice(&rows[..half]);
+        assert!(RibTable::decode(&swapped).is_err());
+    }
+
+    fn seq(asns: &[u32]) -> AsPathSegment {
+        AsPathSegment::Sequence(asns.iter().copied().map(Asn).collect())
+    }
+
+    fn set(asns: &[u32]) -> AsPathSegment {
+        AsPathSegment::Set(asns.iter().copied().map(Asn).collect())
+    }
+
+    #[test]
+    fn rib_path_codec_keeps_segments() {
+        let paths = [
+            None,
+            Some(AsPath::empty()),
+            Some(AsPath::from_segments(vec![seq(&[])])),
+            Some(AsPath::from_sequence([65001, 3356, 7])),
+            Some(AsPath::from_segments(vec![
+                seq(&[65001, 3356]),
+                set(&[7, 8]),
+            ])),
+            Some(AsPath::from_segments(vec![set(&[7, 8]), seq(&[65001, 9])])),
+            Some(AsPath::from_segments(vec![seq(&[65001]), set(&[])])),
+        ];
+        for path in paths {
+            let route = RibRoute {
+                path: path.clone(),
+                next_hop: Some("2001:db8::1".parse().unwrap()),
+                communities: CommunitySet::from_iter([Community::new(3356, 666)]),
+                updated_at: 42,
+            };
+            let mut out = BytesMut::new();
+            put_rib_route(&mut out, &route);
+            out.put_u8(0xee);
+            let bytes = out.to_vec();
+            let mut buf = &bytes[..];
+            assert_eq!(get_rib_route(&mut buf).unwrap(), route, "{path:?}");
+            assert_eq!(buf, [0xee]);
+            // The raw split agrees with the decoded route.
+            let mut buf = &bytes[..];
+            let (span, origin) = split_rib_route(&mut buf).unwrap();
+            assert_eq!(span.len(), bytes.len() - 1);
+            assert_eq!(origin, route.origin_asn(), "{path:?}");
+            // Single-sequence and absent paths keep the shared codec's
+            // bytes.
+            let flat = matches!(
+                path.as_ref().map(AsPath::segments),
+                None | Some([AsPathSegment::Sequence(_)])
+            );
+            let mut shared = BytesMut::new();
+            put_route(&mut shared, &path);
+            assert_eq!(bytes.starts_with(&shared), flat, "{path:?}");
+        }
     }
 
     #[test]

@@ -6,18 +6,20 @@
 //! checkpoint/restore crashes mid-bin (the supervisor's recovery
 //! model: restore the last bin-boundary checkpoint, replay the open
 //! bin, and rely on the store's idempotent publication to drop
-//! duplicates).
+//! duplicates). Narrowed queries (every prefix match mode, origin,
+//! peer, collector) must equal the same filter applied by hand to the
+//! full replay.
 
 use std::sync::Arc;
 
-use bgp_types::{AsPath, Asn, Community, CommunitySet, SessionState};
+use bgp_types::{AsPath, AsPathSegment, Asn, Community, CommunitySet, Prefix, SessionState};
 use bgpstream::elem::{BgpStreamElem, ElemType};
 use bgpstream::record::{DumpPosition, RecordStatus};
 use bgpstream::BgpStreamRecord;
 use broker::DumpType;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rib::{MemoryRibStore, RibFold, RibQuery, RibStore, RibTable};
+use rib::{MemoryRibStore, PrefixMatch, RibFold, RibQuery, RibStore, RibTable, TableRow};
 
 const PEERS: &[&str] = &["192.0.2.1", "192.0.2.2", "2001:db8::1"];
 const PREFIXES: &[&str] = &[
@@ -27,6 +29,67 @@ const PREFIXES: &[&str] = &[
     "2001:db8:1::/48",
 ];
 const COLLECTORS: &[(&str, &str)] = &[("ris", "rrc00"), ("routeviews", "route-views2")];
+/// Prefixes narrowed queries ask about: the pool plus covering and
+/// covered prefixes outside it.
+const QUERY_PREFIXES: &[&str] = &[
+    "203.0.113.0/24",
+    "198.51.100.0/24",
+    "203.0.113.128/25",
+    "2001:db8:1::/48",
+    "203.0.112.0/23",
+    "198.51.100.128/25",
+    "2001:db8::/32",
+];
+const MODES: [PrefixMatch; 4] = [
+    PrefixMatch::Exact,
+    PrefixMatch::MoreSpecific,
+    PrefixMatch::LessSpecific,
+    PrefixMatch::Any,
+];
+
+/// How a checked query narrows the table.
+#[derive(Clone, Debug)]
+enum Narrow {
+    Prefix(Prefix, PrefixMatch),
+    Origin(Asn),
+    Peer(usize),
+    Collector(usize),
+}
+
+impl Narrow {
+    fn query(&self, q: RibQuery) -> RibQuery {
+        match *self {
+            Narrow::Prefix(p, mode) => q.prefix_matching(p, mode),
+            Narrow::Origin(asn) => q.origin_asn(asn),
+            Narrow::Peer(i) => q.peer(PEERS[i].parse().unwrap()),
+            Narrow::Collector(i) => q.collector(COLLECTORS[i].1),
+        }
+    }
+
+    /// The same filter, written out by hand.
+    fn keeps(&self, row: &TableRow) -> bool {
+        match *self {
+            Narrow::Prefix(f, PrefixMatch::Exact) => row.prefix == f,
+            Narrow::Prefix(f, PrefixMatch::MoreSpecific) => f.contains(&row.prefix),
+            Narrow::Prefix(f, PrefixMatch::LessSpecific) => row.prefix.contains(&f),
+            Narrow::Prefix(f, PrefixMatch::Any) => {
+                f.contains(&row.prefix) || row.prefix.contains(&f)
+            }
+            Narrow::Origin(asn) => row.route.origin_asn() == Some(asn),
+            Narrow::Peer(i) => row.peer == PEERS[i].parse::<std::net::IpAddr>().unwrap(),
+            Narrow::Collector(i) => &*row.collector == COLLECTORS[i].1,
+        }
+    }
+}
+
+fn arb_narrow() -> impl Strategy<Value = Narrow> {
+    (0usize..7, 0usize..QUERY_PREFIXES.len(), 1u32..16).prop_map(|(kind, i, origin)| match kind {
+        0..=3 => Narrow::Prefix(QUERY_PREFIXES[i].parse().unwrap(), MODES[kind]),
+        4 => Narrow::Origin(Asn(origin)),
+        5 => Narrow::Peer(i % PEERS.len()),
+        _ => Narrow::Collector(i % COLLECTORS.len()),
+    })
+}
 
 /// One generated elem: what kind, from which pooled peer, about which
 /// pooled prefix, with which origin AS.
@@ -39,13 +102,14 @@ struct GenElem {
 }
 
 /// One generated record: a time increment, a collector, whether it is
-/// a RIB-dump record (bootstrap path) or an updates record, and its
-/// elems.
+/// a RIB-dump record (bootstrap path) or an updates record, whether
+/// the first pooled peer shows its other ASN, and its elems.
 #[derive(Clone, Debug)]
 struct GenRecord {
     dt: u64,
     collector: usize,
     rib: bool,
+    renumbered: bool,
     elems: Vec<GenElem>,
 }
 
@@ -54,20 +118,22 @@ fn arb_record() -> impl Strategy<Value = GenRecord> {
         0u64..400,
         0usize..COLLECTORS.len(),
         any::<bool>(),
+        any::<bool>(),
         vec(
             (
-                0u8..4,
+                0u8..5,
                 0usize..PEERS.len(),
                 0usize..PREFIXES.len(),
-                1u32..9000,
+                1u32..16,
             ),
             1..4,
         ),
     )
-        .prop_map(|(dt, collector, rib, elems)| GenRecord {
+        .prop_map(|(dt, collector, rib, renumbered, elems)| GenRecord {
             dt,
             collector,
             rib,
+            renumbered,
             elems: elems
                 .into_iter()
                 .map(|(kind, peer, prefix, origin)| GenElem {
@@ -87,65 +153,76 @@ fn materialize(gen: &[GenRecord]) -> Vec<BgpStreamRecord> {
     for g in gen {
         t += g.dt;
         let (project, collector) = COLLECTORS[g.collector];
-        let elems = g
-            .elems
-            .iter()
-            .map(|e| {
-                let peer_address = PEERS[e.peer].parse().unwrap();
-                let peer_asn = Asn(65000 + e.peer as u32);
-                let announce_kind = if g.rib {
+        let mut elems = Vec::new();
+        for e in &g.elems {
+            let peer_address = PEERS[e.peer].parse().unwrap();
+            // The first pooled peer changes its ASN from record to record.
+            let peer_asn = match (e.peer, g.renumbered) {
+                (0, true) => Asn(64999),
+                _ => Asn(65000 + e.peer as u32),
+            };
+            let prefix = Some(PREFIXES[e.prefix].parse().unwrap());
+            let announce = |aggregated: bool| BgpStreamElem {
+                // A RIB-dump record's rows take the bootstrap path.
+                elem_type: if g.rib {
                     ElemType::RibEntry
                 } else {
                     ElemType::Announcement
-                };
-                match e.kind {
-                    // Announcements (or RIB rows when the record is a
-                    // RIB-dump record — the bootstrap path).
-                    0 | 1 => BgpStreamElem {
-                        elem_type: announce_kind,
-                        time: t,
-                        peer_address,
-                        peer_asn,
-                        prefix: Some(PREFIXES[e.prefix].parse().unwrap()),
-                        next_hop: Some(peer_address),
-                        as_path: Some(AsPath::from_sequence([peer_asn.0, 3356, e.origin])),
-                        communities: Some(CommunitySet::from_iter([Community::new(3356, 666)])),
-                        old_state: None,
-                        new_state: None,
-                    },
-                    2 => BgpStreamElem {
-                        elem_type: ElemType::Withdrawal,
-                        time: t,
-                        peer_address,
-                        peer_asn,
-                        prefix: Some(PREFIXES[e.prefix].parse().unwrap()),
-                        next_hop: None,
-                        as_path: None,
-                        communities: None,
-                        old_state: None,
-                        new_state: None,
-                    },
-                    _ => BgpStreamElem {
-                        elem_type: ElemType::PeerState,
-                        time: t,
-                        peer_address,
-                        peer_asn,
-                        prefix: None,
-                        next_hop: None,
-                        as_path: None,
-                        communities: None,
-                        old_state: Some(SessionState::Established),
-                        // Odd origins take the session down, even ones
-                        // bring it (back) up.
-                        new_state: Some(if e.origin % 2 == 1 {
-                            SessionState::Idle
-                        } else {
-                            SessionState::Established
-                        }),
-                    },
+                },
+                time: t,
+                peer_address,
+                peer_asn,
+                prefix,
+                next_hop: Some(peer_address),
+                as_path: Some(if aggregated {
+                    // Ends in an AS_SET: no single origin.
+                    AsPath::from_segments(vec![
+                        AsPathSegment::Sequence(vec![peer_asn, Asn(3356)]),
+                        AsPathSegment::Set(vec![Asn(e.origin), Asn(e.origin + 1)]),
+                    ])
+                } else {
+                    AsPath::from_sequence([peer_asn.0, 3356, e.origin])
+                }),
+                communities: Some(CommunitySet::from_iter([Community::new(3356, 666)])),
+                old_state: None,
+                new_state: None,
+            };
+            let session = |state| BgpStreamElem {
+                elem_type: ElemType::PeerState,
+                time: t,
+                peer_address,
+                peer_asn,
+                prefix: None,
+                next_hop: None,
+                as_path: None,
+                communities: None,
+                old_state: Some(SessionState::Established),
+                new_state: Some(state),
+            };
+            match e.kind {
+                0 | 1 => elems.push(announce(e.kind == 1)),
+                2 => elems.push(BgpStreamElem {
+                    elem_type: ElemType::Withdrawal,
+                    next_hop: None,
+                    as_path: None,
+                    communities: None,
+                    ..announce(false)
+                }),
+                // Odd origins take the session down, even ones bring
+                // it (back) up.
+                3 => elems.push(session(if e.origin % 2 == 1 {
+                    SessionState::Idle
+                } else {
+                    SessionState::Established
+                })),
+                // A flap: down, then re-announced at the same instant,
+                // so one delta always holds both.
+                _ => {
+                    elems.push(session(SessionState::Idle));
+                    elems.push(announce(false));
                 }
-            })
-            .collect();
+            }
+        }
         out.push(BgpStreamRecord::new(
             project,
             collector,
@@ -215,7 +292,7 @@ fn fold_with_faults(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn snapshot_plus_delta_equals_full_replay(
@@ -223,7 +300,7 @@ proptest! {
         snapshot_every in prop_oneof![Just(0u64), 300u64..2000],
         bin in prop_oneof![Just(60u64), Just(300u64)],
         faults in vec(0usize..40, 0..4),
-        queries in vec(0u64..20_000, 1..6),
+        queries in vec((0u64..20_000, arb_narrow()), 1..6),
     ) {
         let records = materialize(&gen);
 
@@ -244,19 +321,36 @@ proptest! {
         // Time-travel: at any T, snapshot+delta resolution over the
         // candidate store is byte-identical to replaying the full
         // reference journal from genesis.
-        for &t in &queries {
+        for (t, narrow) in &queries {
+            let t = *t;
             let got = RibQuery::new().at(t).table(&*store).expect("within watermark");
             let mut replay = RibTable::new();
             for e in reference.events_in(0, t) {
                 replay.apply(&e);
             }
-            let want = replay.view(t);
+            let mut want = replay.view(t);
             prop_assert_eq!(
                 got.encode(),
                 want.encode(),
                 "query at {} diverged from full replay",
                 t
             );
+            // Narrowed: from the snapshots and from the bare journal
+            // alike, the same rows a hand filter keeps.
+            want.rows.retain(|row| narrow.keeps(row));
+            for source in [&store, &reference] {
+                let got = narrow
+                    .query(RibQuery::new().at(t))
+                    .table(&**source)
+                    .expect("within watermark");
+                prop_assert_eq!(
+                    got.encode(),
+                    want.encode(),
+                    "{:?} at {} diverged from the filtered replay",
+                    narrow,
+                    t
+                );
+            }
         }
     }
 }
