@@ -38,12 +38,14 @@ where
         task_tx.send(pair).expect("queue open");
     }
     drop(task_tx);
-    crossbeam::scope(|scope| {
+    // A panic in `f` ends its worker; `thread::scope` re-raises it
+    // here once every worker has joined.
+    std::thread::scope(|scope| {
         for _ in 0..workers.min(n) {
             let task_rx = task_rx.clone();
             let res_tx = res_tx.clone();
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 while let Ok((idx, item)) = task_rx.recv() {
                     let out = f(item);
                     if res_tx.send((idx, out)).is_err() {
@@ -53,9 +55,7 @@ where
             });
         }
         drop(res_tx);
-    })
-    // xcheck:allow(unwrap) — propagate a worker panic to the caller
-    .expect("worker panicked");
+    });
     let mut results: Vec<(usize, R)> = res_rx.iter().collect();
     results.sort_by_key(|(i, _)| *i);
     results.into_iter().map(|(_, r)| r).collect()

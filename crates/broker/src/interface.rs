@@ -40,24 +40,6 @@ pub enum DataInterface {
 }
 
 impl DataInterface {
-    /// Back-compat constructor for the pre-service API, where the
-    /// Broker interface held a bare `Arc<Index>`. Wraps the index in
-    /// a [`LocalBroker`] and returns [`DataInterface::Client`] — so
-    /// the long-standing `DataInterface::Broker(index)` call syntax
-    /// keeps compiling. Deprecated in favor of
-    /// [`DataInterface::client`] (or constructing the variant
-    /// directly); new code should pick its [`BrokerClient`]
-    /// explicitly.
-    #[allow(non_snake_case)] // historical variant-constructor syntax
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct the client explicitly: `DataInterface::client(LocalBroker::shared(index))` \
-                or `BgpStreamBuilder::broker_client`"
-    )]
-    pub fn Broker(index: Arc<Index>) -> Self {
-        DataInterface::Client(LocalBroker::shared(index))
-    }
-
     /// The broker interface over an explicit client.
     pub fn client(client: Arc<dyn BrokerClient>) -> Self {
         DataInterface::Client(client)
@@ -321,17 +303,5 @@ mod tests {
         let idx = DataInterface::CsvFile(path).into_index().unwrap();
         assert_eq!(idx.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[allow(deprecated)] // deliberately exercises the back-compat shim
-    fn broker_constructor_is_a_local_client() {
-        // The back-compat surface: `DataInterface::Broker(idx)` still
-        // works and both materialisations recover the same index.
-        let idx = Index::shared();
-        let iface = DataInterface::Broker(idx.clone());
-        let client = iface.clone().into_client().unwrap();
-        assert!(Arc::ptr_eq(&client.local_index().unwrap(), &idx));
-        assert!(Arc::ptr_eq(&iface.into_index().unwrap(), &idx));
     }
 }

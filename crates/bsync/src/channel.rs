@@ -7,8 +7,8 @@
 //! unbounded and bounded MPMC queues, blocking `send`/`recv`,
 //! `try_recv`, and a draining iterator. Bounded senders block while
 //! the queue is at capacity; dropping the last receiver unblocks and
-//! fails them. Deviation kept from the crossbeam shim: a bounded
-//! capacity of 0 (rendezvous) is treated as capacity 1.
+//! fails them. Unlike `crossbeam::channel`, a bounded capacity of 0
+//! (rendezvous) is treated as capacity 1.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

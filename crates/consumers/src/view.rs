@@ -62,24 +62,7 @@ impl GlobalView {
     /// Drain new messages from the `rt.tables` topic for a consumer
     /// group, applying them in order; returns how many were applied.
     pub fn consume(&mut self, mq: &Cluster, group: &str) -> u64 {
-        let mut n = 0;
-        for part in 0..mq.partitions("rt.tables").max(1) {
-            let from = mq.committed(group, "rt.tables", part);
-            loop {
-                let msgs = mq.fetch("rt.tables", part, from + n, 64);
-                if msgs.is_empty() {
-                    break;
-                }
-                for m in &msgs {
-                    if let Ok(rt) = RtMessage::decode(&m.payload) {
-                        self.apply(&rt);
-                    }
-                    n += 1;
-                }
-            }
-            mq.commit(group, "rt.tables", part, from + n);
-        }
-        n
+        crate::drain_rt(mq, group, |msg| self.apply(msg))
     }
 
     /// Messages applied so far.

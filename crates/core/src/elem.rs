@@ -97,38 +97,6 @@ pub fn extract(record: &MrtRecord, pit: Option<&PeerIndexTable>) -> ExtractedEle
     }
 }
 
-/// Deprecated alias for [`extract`].
-#[deprecated(since = "0.1.0", note = "renamed to `extract`")]
-pub fn extract_elems(record: &MrtRecord, pit: Option<&PeerIndexTable>) -> ExtractedElems {
-    extract(record, pit)
-}
-
-/// Deprecated owned-record variant; extraction always consumes the
-/// record internally, so [`extract_into`] (reusing a scratch buffer)
-/// or [`extract`] (borrowed) cover every call shape.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `extract_into` (or `extract` for borrowed records)"
-)]
-pub fn extract_elems_owned(record: MrtRecord, pit: Option<&PeerIndexTable>) -> ExtractedElems {
-    let mut elems = Vec::new();
-    let missing_peer = extract_into(record, pit, &mut elems);
-    ExtractedElems {
-        elems,
-        missing_peer,
-    }
-}
-
-/// Deprecated alias for [`extract_into`].
-#[deprecated(since = "0.1.0", note = "renamed to `extract_into`")]
-pub fn extract_elems_into(
-    record: MrtRecord,
-    pit: Option<&PeerIndexTable>,
-    elems: &mut Vec<BgpStreamElem>,
-) -> bool {
-    extract_into(record, pit, elems)
-}
-
 /// Decompose an MRT record into a caller-provided buffer, consuming
 /// the record. Returns the missing-peer flag of [`ExtractedElems`].
 ///

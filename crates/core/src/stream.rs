@@ -523,8 +523,8 @@ struct PrefetchReq {
 }
 
 /// The shared prefetch workers: a small detached pool per process,
-/// spawned on first use, serving every stream (the vendored crossbeam
-/// channel is MPMC, so the workers share one request queue). Requests
+/// spawned on first use, serving every stream (the `bsync` channel is
+/// MPMC, so the workers share one request queue). Requests
 /// and replies travel over unbounded channels, so neither side ever
 /// blocks on send. Sharing the pool keeps the per-stream cost to
 /// channel operations — no thread spawn on the stream path — while

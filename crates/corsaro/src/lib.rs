@@ -44,7 +44,7 @@ pub mod tag;
 pub use pfxmonitor::{PfxMonitor, PfxPoint};
 pub use pipeline::{run_pipeline, run_pipeline_until, Partitioning, Plugin};
 pub use ribfeed::RibFeeder;
-pub use rt::{RtBinStats, RtErrorStats, RtPlugin};
+pub use rt::{MacroState, RtBinStats, RtErrorStats, RtPlugin};
 pub use runtime::{
     BinStatus, Chaos, KillSpec, LiveRunReport, RuntimeError, ShardedPlugin, ShardedRuntime,
     ShardedRuntimeBuilder, Supervisor, SupervisorConfig,

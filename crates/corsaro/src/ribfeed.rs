@@ -2,8 +2,10 @@
 //! runtimes so live runs reconstruct queryable RIB state.
 //!
 //! This is the glue that makes historical runs, live runs and
-//! interactive queries share one type vocabulary: the fold logic
-//! lives in `crates/rib` ([`RibFold`]), the sequential pipeline and
+//! interactive queries share one type vocabulary: the fold logic —
+//! including the Fig. 8 routing-table state machine (E1–E4, shadow
+//! cells, dump-end reconciliation) — lives in `crates/rib`
+//! ([`RibFold`]), the sequential pipeline and
 //! the sharded/supervised live runtime both drive it through this
 //! [`Plugin`], and consumers resolve [`rib::RibQuery`] against the
 //! same [`RibStore`] handle the feeder publishes to. In live mode,

@@ -2,90 +2,38 @@
 //!
 //! Reconstructs each VP's observable Loc-RIB at fine time granularity:
 //! a RIB dump provides the starting reference, Updates dumps evolve
-//! it, and subsequent RIB dumps sanity-check and correct it. Because
-//! the input is an inference over distributed, heterogeneous
-//! measurement data, the plugin maintains a per-VP finite state
-//! machine plus *shadow cells* and handles the paper's four special
-//! events:
-//!
-//! * **E1** — a corrupted record inside a RIB dump: ignore the whole
-//!   dump;
-//! * **E2** — RIB records older than already-applied updates: apply a
-//!   RIB record to a cell only if its timestamp is newer than the
-//!   cell's last modification;
-//! * **E3** — a corrupted Updates record: stop applying updates and
-//!   wait for the next RIB dump;
-//! * **E4** — session state messages force FSM transitions
-//!   (`Established` → up, anything else → down).
+//! it, and subsequent RIB dumps sanity-check and correct it. The
+//! Figure 8 state machine itself — macro states, shadow cells, the
+//! special events E1–E4, dump-end reconciliation and the accuracy
+//! self-check — is [`rib::RibFold`]'s (see `rib::fold`); this plugin
+//! holds a store-less fold restricted to its collector and projects it
+//! per bin.
 //!
 //! At the end of each time bin the plugin counts/publishes **diff
 //! cells** — the changed portion of the reconstructed tables — which
-//! Figure 9 compares against the raw BGP elem count. RouteViews
-//! collectors dump no state messages, so a VP none of whose routes
-//! appear in the latest RIB dump is additionally declared down
-//! (footnote 5).
+//! Figure 9 compares against the raw BGP elem count: it records a
+//! cell's pre-bin path the first time the fold touches the cell in a
+//! bin and emits the cells whose path changed. Periodic `Full`
+//! messages carry every route of the VPs whose table is available.
 
 use std::net::IpAddr;
 use std::sync::Arc;
 
 use bgp_types::{AsPath, Asn, Prefix};
-use bgpstream::{BgpStreamRecord, ElemType};
+use bgpstream::{BgpStreamElem, BgpStreamRecord, ElemType};
 use broker::DumpType;
 use bytes::{Buf, BufMut, BytesMut};
 use fxhash::FxHashMap;
 use mq::Cluster;
+pub use rib::{MacroState, RtErrorStats};
+use rib::{RibAction, RibFold};
 
 use crate::codec::{decode_cells, encode_cells, encode_meta, sort_cells, DiffCell, RtMessage};
 use crate::pipeline::{Partitioning, Plugin};
 use crate::runtime::{shard_of_peer, ShardedPlugin};
 
-/// The Figure 8 macro states.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MacroState {
-    /// No consistent routing table available.
-    Down,
-    /// Down, with a RIB dump being applied.
-    DownRibApplication,
-    /// Consistent routing table available.
-    Up,
-    /// Up, with a new RIB dump being applied into shadow cells.
-    UpRibApplication,
-}
-
-impl MacroState {
-    /// Whether a consistent routing table is available.
-    pub fn table_available(self) -> bool {
-        matches!(self, MacroState::Up | MacroState::UpRibApplication)
-    }
-}
-
-/// The route stored in a cell.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CellRoute {
-    /// AS path of the selected route.
-    pub path: AsPath,
-}
-
-#[derive(Clone, Debug, Default)]
-struct Cell {
-    /// `Some` = announced (the A/W flag), `None` = withdrawn/absent.
-    main: Option<CellRoute>,
-    /// When the main cell last changed (from an Updates record).
-    main_ts: u64,
-    /// Shadow storage for the RIB dump being applied.
-    shadow: Option<(Option<CellRoute>, u64)>,
-}
-
-struct VpTable {
-    asn: Asn,
-    state: MacroState,
-    cells: FxHashMap<Prefix, Cell>,
-    /// Whether any RIB row for this VP was seen in the current dump.
-    rib_seen: bool,
-    /// Whether the VP's table was available when the current RIB
-    /// started (accuracy comparisons are only meaningful then).
-    check_ok: bool,
-}
+/// Checkpoint format version.
+const RT_VERSION: u8 = 2;
 
 /// Per-bin statistics (the Figure 9 series).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -98,42 +46,15 @@ pub struct RtBinStats {
     pub diff_cells: u64,
 }
 
-/// Accuracy self-check counters (§6.2.1: error probabilities ~1e-8
-/// RIS / ~1e-5 RouteViews).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct RtErrorStats {
-    /// Cells compared at RIB boundaries.
-    pub cells_checked: u64,
-    /// Cells whose reconstructed content disagreed with the RIB.
-    pub cells_mismatched: u64,
-}
-
-impl RtErrorStats {
-    /// Mismatching prefixes over all compared prefixes.
-    pub fn error_probability(&self) -> f64 {
-        if self.cells_checked == 0 {
-            0.0
-        } else {
-            self.cells_mismatched as f64 / self.cells_checked as f64
-        }
-    }
-}
-
 /// The RT plugin: one instance per collector (the paper runs one
 /// BGPCorsaro per collector to spread load).
 pub struct RtPlugin {
     collector: String,
-    vps: FxHashMap<IpAddr, VpTable>,
-    /// Pre-bin value of every cell touched this bin.
-    dirty: FxHashMap<(IpAddr, Prefix), Option<CellRoute>>,
+    /// The routing-table state machine, fed this collector's records.
+    fold: RibFold,
+    /// Pre-bin path of every cell the fold touched this bin.
+    dirty: FxHashMap<(IpAddr, Prefix), Option<AsPath>>,
     elems_in_bin: u64,
-    /// A RIB dump is currently being applied.
-    rib_active: bool,
-    rib_corrupted: bool,
-    rib_start_ts: u64,
-    /// E3: a corrupted Updates record was seen; updates ignored until
-    /// the next clean RIB completes.
-    updates_poisoned: bool,
     mq: Option<Arc<Cluster>>,
     /// Publish a full table every this many bins (0 = never).
     full_every_bins: u64,
@@ -161,13 +82,9 @@ impl RtPlugin {
     pub fn new(collector: &str) -> Self {
         RtPlugin {
             collector: collector.to_string(),
-            vps: FxHashMap::default(),
+            fold: RibFold::new(0),
             dirty: FxHashMap::default(),
             elems_in_bin: 0,
-            rib_active: false,
-            rib_corrupted: false,
-            rib_start_ts: 0,
-            updates_poisoned: false,
             mq: None,
             full_every_bins: 0,
             bins_since_full: 0,
@@ -189,270 +106,118 @@ impl RtPlugin {
 
     /// The FSM state of the VP at `ip`, if known.
     pub fn vp_state(&self, ip: IpAddr) -> Option<MacroState> {
-        self.vps.get(&ip).map(|v| v.state)
+        self.fold.vp_state(&self.collector, &ip)
     }
 
     /// Number of announced prefixes in the VP's reconstructed table.
     pub fn vp_table_size(&self, ip: IpAddr) -> usize {
-        self.vps
-            .get(&ip)
-            .map(|v| v.cells.values().filter(|c| c.main.is_some()).count())
-            .unwrap_or(0)
+        self.fold
+            .table()
+            .loc_rib(&self.collector, &ip)
+            .map_or(0, |rib| rib.route_count())
     }
 
     /// Known VPs.
     pub fn vp_addrs(&self) -> Vec<IpAddr> {
-        self.vps.keys().copied().collect()
+        self.fold.vps(&self.collector).map(|(ip, _)| ip).collect()
     }
 
-    fn vp_entry(&mut self, ip: IpAddr, asn: Asn) -> &mut VpTable {
-        vp_entry_in(&mut self.vps, self.rib_active, ip, asn)
-    }
-
-    /// Shard gate: does this instance own the VP's state?
-    fn owns_peer(&self, ip: &IpAddr) -> bool {
-        match self.shard {
-            Some((shard, shards)) => shard_of_peer(ip, shards) == shard,
-            None => true,
-        }
-    }
-
-    fn mark_dirty(
-        dirty: &mut FxHashMap<(IpAddr, Prefix), Option<CellRoute>>,
-        ip: IpAddr,
-        prefix: Prefix,
-        prev: &Option<CellRoute>,
-    ) {
-        dirty.entry((ip, prefix)).or_insert_with(|| prev.clone());
-    }
-
-    fn begin_rib(&mut self, ts: u64) {
-        self.rib_active = true;
-        self.rib_corrupted = false;
-        self.rib_start_ts = ts;
-        for vp in self.vps.values_mut() {
-            vp.rib_seen = false;
-            vp.check_ok = vp.state.table_available();
-            vp.state = match vp.state {
-                MacroState::Up | MacroState::UpRibApplication => MacroState::UpRibApplication,
-                _ => MacroState::DownRibApplication,
-            };
-        }
-    }
-
-    fn end_rib(&mut self) {
-        let corrupted = self.rib_corrupted;
-        let rib_start = self.rib_start_ts;
-        for (ip, vp) in self.vps.iter_mut() {
-            if corrupted {
-                // E1: discard the whole dump.
-                for cell in vp.cells.values_mut() {
-                    cell.shadow = None;
-                }
-                vp.state = match vp.state {
-                    MacroState::UpRibApplication => MacroState::Up,
-                    _ => MacroState::Down,
-                };
-                continue;
-            }
-            if !vp.rib_seen {
-                // None of the VP's routes are in the latest RIB dump:
-                // declare it down (RouteViews mitigation, footnote 5).
-                for (prefix, cell) in vp.cells.iter_mut() {
-                    if cell.main.is_some() {
-                        Self::mark_dirty(&mut self.dirty, *ip, *prefix, &cell.main);
-                        cell.main = None;
-                        cell.main_ts = rib_start;
-                    }
-                    cell.shadow = None;
-                }
-                vp.state = MacroState::Down;
-                continue;
-            }
-            // Accuracy check + merge.
-            let prefixes: Vec<Prefix> = vp.cells.keys().copied().collect();
-            for prefix in prefixes {
-                // xcheck:allow(unwrap) — key came from this map's iteration
-                let cell = vp.cells.get_mut(&prefix).expect("cell present");
-                let untouched_since_rib = cell.main_ts <= rib_start;
-                match cell.shadow.take() {
-                    Some((shadow_route, shadow_ts)) => {
-                        if untouched_since_rib && vp.check_ok {
-                            self.error_stats.cells_checked += 1;
-                            if cell.main != shadow_route {
-                                self.error_stats.cells_mismatched += 1;
-                            }
-                        }
-                        // E2: apply only if not older than the cell's
-                        // last modification.
-                        if shadow_ts >= cell.main_ts && cell.main != shadow_route {
-                            Self::mark_dirty(&mut self.dirty, *ip, prefix, &cell.main);
-                            cell.main = shadow_route;
-                            cell.main_ts = shadow_ts;
-                        }
-                    }
-                    None => {
-                        // Announced but absent from the new RIB: stale
-                        // unless an update touched it meanwhile.
-                        if cell.main.is_some() && untouched_since_rib {
-                            if vp.check_ok {
-                                self.error_stats.cells_checked += 1;
-                                self.error_stats.cells_mismatched += 1;
-                            }
-                            Self::mark_dirty(&mut self.dirty, *ip, prefix, &cell.main);
-                            cell.main = None;
-                            cell.main_ts = rib_start;
-                        }
-                    }
-                }
-            }
-            vp.state = MacroState::Up;
-        }
-        self.rib_active = false;
-        if !corrupted {
-            // E3 recovery: a clean RIB restores update processing.
-            self.updates_poisoned = false;
-        }
-    }
-}
-
-impl RtPlugin {
     /// Shared body of `process_record` (elem gate: peer-shard hash)
     /// and `process_sharded` (elem gate: the runtime's precomputed
-    /// ownership mask). Record-level events — E1/E3 corruption, RIB
-    /// dump start/end — always apply, whatever the gate.
+    /// ownership mask).
     fn process_impl(&mut self, record: &BgpStreamRecord, mask: Option<&[bool]>) {
         if record.collector() != self.collector {
             return;
         }
-        let owned = |rt: &RtPlugin, i: usize, ip: &IpAddr| match mask {
-            Some(m) => m[i],
-            None => rt.owns_peer(ip),
+        let shard = self.shard;
+        let owns = |i: usize, elem: &BgpStreamElem| match (mask, shard) {
+            (Some(mask), _) => mask[i],
+            (None, Some((shard, shards))) => shard_of_peer(&elem.peer_address, shards) == shard,
+            (None, None) => true,
         };
-        match record.dump_type() {
-            DumpType::Rib => {
-                if record.position.is_start() && !self.rib_active {
-                    self.begin_rib(record.timestamp);
-                }
-                if !record.status.is_valid() {
-                    self.rib_corrupted = true; // E1
-                }
-                if self.rib_active {
-                    for (i, elem) in record.elems().iter().enumerate() {
-                        if !owned(self, i, &elem.peer_address) {
-                            continue;
-                        }
-                        if elem.elem_type != ElemType::RibEntry {
-                            continue;
-                        }
-                        let (Some(prefix), Some(path)) = (elem.prefix, elem.as_path.clone()) else {
-                            continue;
-                        };
-                        let ts = elem.time;
-                        let vp = self.vp_entry(elem.peer_address, elem.peer_asn);
-                        vp.rib_seen = true;
-                        let cell = vp.cells.entry(prefix).or_default();
-                        cell.shadow = Some((Some(CellRoute { path }), ts));
-                    }
-                }
-                if record.position.is_end() && self.rib_active {
-                    self.end_rib();
-                }
-            }
-            DumpType::Updates => {
-                if !record.status.is_valid() {
-                    // E3: stop applying updates, wait for next RIB.
-                    self.updates_poisoned = true;
-                    for vp in self.vps.values_mut() {
-                        vp.state = MacroState::Down;
-                    }
-                    return;
-                }
-                for (i, elem) in record.elems().iter().enumerate() {
-                    if !owned(self, i, &elem.peer_address) {
-                        continue;
-                    }
-                    match elem.elem_type {
-                        ElemType::PeerState => {
-                            // E4: forced transitions.
-                            let rib_active = self.rib_active;
-                            let vp = vp_entry_in(
-                                &mut self.vps,
-                                rib_active,
-                                elem.peer_address,
-                                elem.peer_asn,
-                            );
-                            let established =
-                                elem.new_state.map(|s| s.is_established()).unwrap_or(false);
-                            vp.state = match (established, rib_active) {
-                                (true, true) => MacroState::UpRibApplication,
-                                (true, false) => MacroState::Up,
-                                (false, true) => MacroState::DownRibApplication,
-                                (false, false) => MacroState::Down,
-                            };
-                            if !established {
-                                // Session lost: the VP's table is no
-                                // longer trustworthy.
-                                for (prefix, cell) in vp.cells.iter_mut() {
-                                    if cell.main.is_some() {
-                                        Self::mark_dirty(
-                                            &mut self.dirty,
-                                            elem.peer_address,
-                                            *prefix,
-                                            &cell.main,
-                                        );
-                                        cell.main = None;
-                                        cell.main_ts = elem.time;
-                                    }
-                                }
-                            }
-                        }
-                        ElemType::Announcement if !self.updates_poisoned => {
-                            self.elems_in_bin += 1;
-                            let (Some(prefix), Some(path)) = (elem.prefix, elem.as_path.clone())
-                            else {
-                                continue;
-                            };
-                            let ts = elem.time;
-                            let dirty = &mut self.dirty;
-                            let ip = elem.peer_address;
-                            let vp = vp_entry_in(&mut self.vps, self.rib_active, ip, elem.peer_asn);
-                            let cell = vp.cells.entry(prefix).or_default();
-                            let new = Some(CellRoute { path });
-                            if cell.main != new {
-                                Self::mark_dirty(dirty, ip, prefix, &cell.main);
-                                cell.main = new;
-                            }
-                            cell.main_ts = ts;
-                        }
-                        ElemType::Withdrawal if !self.updates_poisoned => {
-                            self.elems_in_bin += 1;
-                            let Some(prefix) = elem.prefix else { continue };
-                            let ts = elem.time;
-                            let dirty = &mut self.dirty;
-                            let ip = elem.peer_address;
-                            let vp = vp_entry_in(&mut self.vps, self.rib_active, ip, elem.peer_asn);
-                            let cell = vp.cells.entry(prefix).or_default();
-                            if cell.main.is_some() {
-                                Self::mark_dirty(dirty, ip, prefix, &cell.main);
-                                cell.main = None;
-                            }
-                            cell.main_ts = ts;
-                        }
-                        _ => {
-                            // Poisoned updates still count as elems
-                            // received (they are extracted, not applied).
-                            if matches!(
-                                elem.elem_type,
-                                ElemType::Announcement | ElemType::Withdrawal
-                            ) {
-                                self.elems_in_bin += 1;
-                            }
-                        }
-                    }
-                }
-            }
+        if record.dump_type() == DumpType::Updates && record.status.is_valid() {
+            // Updates count as elems received whether or not E3 lets
+            // the fold apply them.
+            self.elems_in_bin += record
+                .elems()
+                .iter()
+                .enumerate()
+                .filter(|(i, elem)| {
+                    matches!(
+                        elem.elem_type,
+                        ElemType::Announcement | ElemType::Withdrawal
+                    ) && owns(*i, elem)
+                })
+                .count() as u64;
         }
+        let dirty = &mut self.dirty;
+        self.fold
+            .apply_record_with(record, &owns, &mut |table, ev| {
+                let rib = || table.loc_rib(&ev.collector, &ev.peer);
+                match &ev.action {
+                    RibAction::Announce { prefix, .. } | RibAction::Withdraw { prefix } => {
+                        dirty.entry((ev.peer, *prefix)).or_insert_with(|| {
+                            rib()
+                                .and_then(|rib| rib.route(prefix))
+                                .and_then(|route| route.path.clone())
+                        });
+                    }
+                    RibAction::PeerDown => {
+                        for (prefix, route) in rib().into_iter().flat_map(|rib| rib.routes()) {
+                            dirty
+                                .entry((ev.peer, *prefix))
+                                .or_insert_with(|| route.path.clone());
+                        }
+                    }
+                    RibAction::PeerUp => {}
+                }
+            });
+        self.error_stats = self.fold.error_stats();
+    }
+
+    /// Every announced cell of every available VP (the `Full` message
+    /// body), unsorted.
+    fn full_cells(&self) -> Vec<DiffCell> {
+        let table = self.fold.table();
+        self.fold
+            .vps(&self.collector)
+            .filter(|(_, state)| state.table_available())
+            .filter_map(|(ip, _)| table.loc_rib(&self.collector, &ip))
+            .flat_map(|rib| {
+                rib.routes().map(|(prefix, route)| DiffCell {
+                    vp: rib.peer_asn,
+                    prefix: *prefix,
+                    path: route.path.clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// Publish one bin's outputs to the queue (no-op without one).
+    /// Shared by the sequential `end_bin` and the sharded merge, so
+    /// both paths emit identical message sequences.
+    fn publish(&self, bin_start: u64, diff: Vec<DiffCell>, full: Option<Vec<DiffCell>>) {
+        let Some(mq) = &self.mq else { return };
+        let msg = RtMessage::Diff {
+            collector: self.collector.clone(),
+            bin: bin_start,
+            cells: diff,
+        };
+        mq.produce("rt.tables", &self.collector, bin_start, msg.encode());
+        if let Some(cells) = full {
+            let full = RtMessage::Full {
+                collector: self.collector.clone(),
+                bin: bin_start,
+                cells,
+            };
+            mq.produce("rt.tables", &self.collector, bin_start, full.encode());
+        }
+        mq.produce(
+            "rt.meta",
+            &self.collector,
+            bin_start,
+            encode_meta(&self.collector, bin_start),
+        );
     }
 }
 
@@ -470,17 +235,15 @@ impl Plugin for RtPlugin {
         // the bin is not a diff).
         let mut diff_cells: Vec<DiffCell> = Vec::new();
         for ((ip, prefix), prev) in self.dirty.drain() {
-            let current = self
-                .vps
-                .get(&ip)
-                .and_then(|vp| vp.cells.get(&prefix))
-                .and_then(|c| c.main.clone());
+            let rib = self.fold.table().loc_rib(&self.collector, &ip);
+            let current = rib
+                .and_then(|rib| rib.route(&prefix))
+                .and_then(|route| route.path.clone());
             if current != prev {
-                let vp_asn = self.vps.get(&ip).map(|v| v.asn).unwrap_or(Asn(0));
                 diff_cells.push(DiffCell {
-                    vp: vp_asn,
+                    vp: rib.map_or(Asn(0), |rib| rib.peer_asn),
                     prefix,
-                    path: current.map(|r| r.path),
+                    path: current,
                 });
             }
         }
@@ -540,7 +303,7 @@ impl Plugin for RtPlugin {
     }
 
     fn partitioning(&self) -> Partitioning {
-        // Everything this plugin tracks — cells, FSM state, `rib_seen`
+        // Everything the fold tracks — cells, FSM state, `rib_seen`
         // bookkeeping, accuracy checks — is keyed by the VP, so peer
         // sharding partitions the state exactly. (Prefix sharding
         // would *not* be safe here: a shard seeing none of a VP's RIB
@@ -549,72 +312,33 @@ impl Plugin for RtPlugin {
         Partitioning::ByPeer
     }
 
-    /// Everything except configuration (queue handle, full-table
-    /// cadence, shard assignment), through the queue codec's own
-    /// prefix/ip/route vocabulary, each section in canonical order.
+    /// The fold's own checkpoint frame plus the plugin's per-bin
+    /// state; configuration (queue handle, full-table cadence, shard
+    /// assignment) is not included.
     fn checkpoint(&self) -> Vec<u8> {
         use crate::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix, put_route};
 
         let mut out = BytesMut::new();
-        out.put_u8(1); // version
+        out.put_u8(RT_VERSION);
         out.put_u16(self.collector.len() as u16);
         out.put_slice(self.collector.as_bytes());
-
-        let mut vps: Vec<(&IpAddr, &VpTable)> = self.vps.iter().collect();
-        vps.sort_by_key(|(ip, _)| ip_sort_key(ip));
-        out.put_u32(vps.len() as u32);
-        for (ip, vp) in vps {
-            put_ip(&mut out, ip);
-            out.put_u32(vp.asn.0);
-            out.put_u8(match vp.state {
-                MacroState::Down => 0,
-                MacroState::DownRibApplication => 1,
-                MacroState::Up => 2,
-                MacroState::UpRibApplication => 3,
-            });
-            out.put_u8(vp.rib_seen as u8);
-            out.put_u8(vp.check_ok as u8);
-            let mut cells: Vec<(&Prefix, &Cell)> = vp.cells.iter().collect();
-            cells.sort_by_key(|(p, _)| prefix_sort_key(p));
-            out.put_u32(cells.len() as u32);
-            for (prefix, cell) in cells {
-                put_prefix(&mut out, prefix);
-                put_route(&mut out, &cell.main.as_ref().map(|r| r.path.clone()));
-                out.put_u64(cell.main_ts);
-                match &cell.shadow {
-                    None => out.put_u8(0),
-                    Some((route, ts)) => {
-                        out.put_u8(1);
-                        put_route(&mut out, &route.as_ref().map(|r| r.path.clone()));
-                        out.put_u64(*ts);
-                    }
-                }
-            }
-        }
-
-        let mut dirty: Vec<(&(IpAddr, Prefix), &Option<CellRoute>)> = self.dirty.iter().collect();
+        let fold = self.fold.checkpoint();
+        out.put_u32(fold.len() as u32);
+        out.put_slice(&fold);
+        let mut dirty: Vec<_> = self.dirty.iter().collect();
         dirty.sort_by_key(|((ip, p), _)| (ip_sort_key(ip), prefix_sort_key(p)));
         out.put_u32(dirty.len() as u32);
         for ((ip, prefix), prev) in dirty {
             put_ip(&mut out, ip);
             put_prefix(&mut out, prefix);
-            put_route(&mut out, &prev.as_ref().map(|r| r.path.clone()));
+            put_route(&mut out, prev);
         }
-
         out.put_u64(self.elems_in_bin);
-        out.put_u8(self.rib_active as u8);
-        out.put_u8(self.rib_corrupted as u8);
-        out.put_u64(self.rib_start_ts);
-        out.put_u8(self.updates_poisoned as u8);
         out.put_u64(self.bins_since_full);
-        match &self.pending_partial {
-            None => out.put_u8(0),
-            Some(p) => {
-                out.put_u8(1);
-                out.put_u32(p.len() as u32);
-                out.put_slice(p);
-            }
-        }
+        let partial = self.pending_partial.as_deref();
+        out.put_u8(partial.is_some() as u8);
+        out.put_u32(partial.map_or(0, <[u8]>::len) as u32);
+        out.put_slice(partial.unwrap_or_default());
         for stats in [&self.err_reported, &self.error_stats] {
             out.put_u64(stats.cells_checked);
             out.put_u64(stats.cells_mismatched);
@@ -631,195 +355,72 @@ impl Plugin for RtPlugin {
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
         use crate::codec::{get_ip, get_prefix, get_route};
 
-        fn need(buf: &[u8], n: usize, what: &str) -> Result<(), String> {
+        fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], String> {
             if buf.len() < n {
-                Err(format!("rt checkpoint: truncated {what}"))
-            } else {
-                Ok(())
+                return Err(format!("rt checkpoint: truncated {what}"));
             }
+            let (head, rest) = buf.split_at(n);
+            *buf = rest;
+            Ok(head)
         }
 
         let mut buf = bytes;
-        need(buf, 3, "header")?;
-        let version = buf.get_u8();
-        if version != 1 {
+        let mut head = take(&mut buf, 3, "header")?;
+        let version = head.get_u8();
+        if version != RT_VERSION {
             return Err(format!("rt checkpoint: unknown version {version}"));
         }
-        let name_len = buf.get_u16() as usize;
-        need(buf, name_len, "collector name")?;
-        let collector = String::from_utf8_lossy(&buf[..name_len]).into_owned();
-        buf.advance(name_len);
+        let name_len = head.get_u16() as usize;
+        let collector = String::from_utf8_lossy(take(&mut buf, name_len, "collector name")?);
         if collector != self.collector {
             return Err(format!(
                 "rt checkpoint: collector mismatch (checkpoint {collector:?}, instance {:?})",
                 self.collector
             ));
         }
-
-        need(buf, 4, "vp count")?;
-        let n = buf.get_u32() as usize;
-        let mut vps = FxHashMap::default();
-        for _ in 0..n {
-            let ip = get_ip(&mut buf)?;
-            need(buf, 4 + 3, "vp header")?;
-            let asn = Asn(buf.get_u32());
-            let state = match buf.get_u8() {
-                0 => MacroState::Down,
-                1 => MacroState::DownRibApplication,
-                2 => MacroState::Up,
-                3 => MacroState::UpRibApplication,
-                s => return Err(format!("rt checkpoint: unknown macro state {s}")),
-            };
-            let rib_seen = buf.get_u8() == 1;
-            let check_ok = buf.get_u8() == 1;
-            need(buf, 4, "cell count")?;
-            let cell_count = buf.get_u32() as usize;
-            let mut cells = FxHashMap::default();
-            for _ in 0..cell_count {
-                let prefix = get_prefix(&mut buf)?;
-                let main = get_route(&mut buf)?.map(|path| CellRoute { path });
-                need(buf, 8 + 1, "cell timestamps")?;
-                let main_ts = buf.get_u64();
-                let shadow = if buf.get_u8() == 1 {
-                    let route = get_route(&mut buf)?.map(|path| CellRoute { path });
-                    need(buf, 8, "shadow timestamp")?;
-                    Some((route, buf.get_u64()))
-                } else {
-                    None
-                };
-                cells.insert(
-                    prefix,
-                    Cell {
-                        main,
-                        main_ts,
-                        shadow,
-                    },
-                );
-            }
-            vps.insert(
-                ip,
-                VpTable {
-                    asn,
-                    state,
-                    cells,
-                    rib_seen,
-                    check_ok,
-                },
-            );
-        }
-
-        need(buf, 4, "dirty count")?;
-        let n = buf.get_u32() as usize;
+        let fold_len = take(&mut buf, 4, "fold length")?.get_u32() as usize;
+        let mut fold = RibFold::new(0);
+        fold.restore(take(&mut buf, fold_len, "fold")?)?;
         let mut dirty = FxHashMap::default();
-        for _ in 0..n {
+        for _ in 0..take(&mut buf, 4, "dirty count")?.get_u32() {
             let ip = get_ip(&mut buf)?;
             let prefix = get_prefix(&mut buf)?;
-            let prev = get_route(&mut buf)?.map(|path| CellRoute { path });
-            dirty.insert((ip, prefix), prev);
+            dirty.insert((ip, prefix), get_route(&mut buf)?);
         }
-
-        need(buf, 8 + 1 + 1 + 8 + 1 + 8 + 1, "scalar state")?;
-        let elems_in_bin = buf.get_u64();
-        let rib_active = buf.get_u8() == 1;
-        let rib_corrupted = buf.get_u8() == 1;
-        let rib_start_ts = buf.get_u64();
-        let updates_poisoned = buf.get_u8() == 1;
-        let bins_since_full = buf.get_u64();
-        let pending_partial = if buf.get_u8() == 1 {
-            need(buf, 4, "partial length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len, "partial body")?;
-            let body = buf[..len].to_vec();
-            buf.advance(len);
-            Some(body)
-        } else {
-            None
+        let mut scalars = take(&mut buf, 8 + 8 + 1 + 4, "scalar state")?;
+        let elems_in_bin = scalars.get_u64();
+        let bins_since_full = scalars.get_u64();
+        let has_partial = scalars.get_u8() == 1;
+        let partial = take(&mut buf, scalars.get_u32() as usize, "partial body")?;
+        let pending_partial = has_partial.then(|| partial.to_vec());
+        let mut counters = take(&mut buf, 32, "counters")?;
+        let mut stats = || RtErrorStats {
+            cells_checked: counters.get_u64(),
+            cells_mismatched: counters.get_u64(),
         };
-        need(buf, 32 + 4, "counters")?;
-        let err_reported = RtErrorStats {
-            cells_checked: buf.get_u64(),
-            cells_mismatched: buf.get_u64(),
-        };
-        let error_stats = RtErrorStats {
-            cells_checked: buf.get_u64(),
-            cells_mismatched: buf.get_u64(),
-        };
-        let n = buf.get_u32() as usize;
-        need(buf, n * 24, "bin series")?;
+        let (err_reported, error_stats) = (stats(), stats());
+        let n = take(&mut buf, 4, "bin series")?.get_u32() as usize;
+        let mut series = take(&mut buf, n.saturating_mul(24), "bin series")?;
         let bin_series = (0..n)
             .map(|_| RtBinStats {
-                bin: buf.get_u64(),
-                elems: buf.get_u64(),
-                diff_cells: buf.get_u64(),
+                bin: series.get_u64(),
+                elems: series.get_u64(),
+                diff_cells: series.get_u64(),
             })
             .collect();
         if !buf.is_empty() {
             return Err("rt checkpoint: trailing bytes".into());
         }
 
-        self.vps = vps;
+        self.fold = fold;
         self.dirty = dirty;
         self.elems_in_bin = elems_in_bin;
-        self.rib_active = rib_active;
-        self.rib_corrupted = rib_corrupted;
-        self.rib_start_ts = rib_start_ts;
-        self.updates_poisoned = updates_poisoned;
         self.bins_since_full = bins_since_full;
         self.pending_partial = pending_partial;
         self.err_reported = err_reported;
-        self.bin_series = bin_series;
         self.error_stats = error_stats;
+        self.bin_series = bin_series;
         Ok(())
-    }
-}
-
-impl RtPlugin {
-    /// Every announced cell of every available VP (the `Full` message
-    /// body), unsorted.
-    fn full_cells(&self) -> Vec<DiffCell> {
-        let mut cells = Vec::new();
-        for vp in self.vps.values() {
-            if !vp.state.table_available() {
-                continue;
-            }
-            for (prefix, cell) in &vp.cells {
-                if let Some(route) = &cell.main {
-                    cells.push(DiffCell {
-                        vp: vp.asn,
-                        prefix: *prefix,
-                        path: Some(route.path.clone()),
-                    });
-                }
-            }
-        }
-        cells
-    }
-
-    /// Publish one bin's outputs to the queue (no-op without one).
-    /// Shared by the sequential `end_bin` and the sharded merge, so
-    /// both paths emit identical message sequences.
-    fn publish(&self, bin_start: u64, diff: Vec<DiffCell>, full: Option<Vec<DiffCell>>) {
-        let Some(mq) = &self.mq else { return };
-        let msg = RtMessage::Diff {
-            collector: self.collector.clone(),
-            bin: bin_start,
-            cells: diff,
-        };
-        mq.produce("rt.tables", &self.collector, bin_start, msg.encode());
-        if let Some(cells) = full {
-            let full = RtMessage::Full {
-                collector: self.collector.clone(),
-                bin: bin_start,
-                cells,
-            };
-            mq.produce("rt.tables", &self.collector, bin_start, full.encode());
-        }
-        mq.produce(
-            "rt.meta",
-            &self.collector,
-            bin_start,
-            encode_meta(&self.collector, bin_start),
-        );
     }
 }
 
@@ -883,25 +484,6 @@ impl ShardedPlugin for RtPlugin {
         self.error_stats.cells_mismatched += mismatched;
         self.publish(bin_start, diff, full);
     }
-}
-
-fn vp_entry_in(
-    vps: &mut FxHashMap<IpAddr, VpTable>,
-    rib_active: bool,
-    ip: IpAddr,
-    asn: Asn,
-) -> &mut VpTable {
-    vps.entry(ip).or_insert_with(|| VpTable {
-        asn,
-        state: if rib_active {
-            MacroState::DownRibApplication
-        } else {
-            MacroState::Down
-        },
-        cells: FxHashMap::default(),
-        rib_seen: false,
-        check_ok: false,
-    })
 }
 
 #[cfg(test)]

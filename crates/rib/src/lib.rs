@@ -48,7 +48,7 @@ pub mod store;
 pub mod table;
 
 pub use bgp_types::trie::PrefixMatch;
-pub use fold::{FoldStats, RibFold};
+pub use fold::{FoldStats, MacroState, RibFold, RtErrorStats};
 pub use query::{RibError, RibQuery};
 pub use store::{MemoryRibStore, RibStore, Snapshot};
 pub use table::{LocRib, RibAction, RibEvent, RibRoute, RibTable, TableRow, TableView};

@@ -134,24 +134,16 @@ impl RibEvent {
 
     /// Decode one event, advancing `buf` past it.
     pub fn decode(buf: &mut &[u8]) -> Result<RibEvent, String> {
-        if buf.len() < 1 + 8 + 2 {
-            return Err("truncated rib event header".into());
-        }
-        let kind = buf.get_u8();
-        let time = buf.get_u64();
-        let name_len = buf.get_u16() as usize;
-        if buf.len() < name_len {
-            return Err("truncated rib event collector".into());
-        }
-        let collector: Arc<str> = String::from_utf8_lossy(&buf[..name_len])
-            .into_owned()
-            .into();
-        buf.advance(name_len);
+        let mut head = take(buf, 1 + 8 + 2, "truncated rib event header")?;
+        let (kind, time) = (head.get_u8(), head.get_u64());
+        let name = take(
+            buf,
+            head.get_u16() as usize,
+            "truncated rib event collector",
+        )?;
+        let collector: Arc<str> = String::from_utf8_lossy(name).into();
         let peer = get_ip(buf)?;
-        if buf.len() < 4 {
-            return Err("truncated rib event peer asn".into());
-        }
-        let peer_asn = Asn(buf.get_u32());
+        let peer_asn = Asn(take(buf, 4, "truncated rib event peer asn")?.get_u32());
         let action = match kind {
             0 => RibAction::Announce {
                 prefix: get_prefix(buf)?,
@@ -251,7 +243,7 @@ fn last_asn(asns: &[u8]) -> Option<Asn> {
 }
 
 /// Split the first `n` bytes off `buf`, or fail with `what`.
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], String> {
+pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], String> {
     if buf.len() < n {
         return Err(what.into());
     }
@@ -279,7 +271,7 @@ fn split_rib_route<'a>(buf: &mut &'a [u8]) -> Result<(&'a [u8], Option<Asn>), St
 }
 
 /// Append a route's wire form to `out`.
-fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
+pub(crate) fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
     put_rib_path(out, &route.path);
     match &route.next_hop {
         Some(ip) => {
@@ -297,37 +289,22 @@ fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
 }
 
 /// Decode a [`put_rib_route`] route, advancing `buf` past it.
-fn get_rib_route(buf: &mut &[u8]) -> Result<RibRoute, String> {
+pub(crate) fn get_rib_route(buf: &mut &[u8]) -> Result<RibRoute, String> {
     let path = get_rib_path(buf)?;
-    if buf.is_empty() {
-        return Err("truncated route next-hop flag".into());
-    }
-    let next_hop = if buf.get_u8() == 1 {
-        Some(get_ip(buf)?)
-    } else {
-        None
+    let next_hop = match take(buf, 1, "truncated route next-hop flag")?[0] {
+        1 => Some(get_ip(buf)?),
+        _ => None,
     };
-    if buf.len() < 2 {
-        return Err("truncated route community count".into());
-    }
-    let n = buf.get_u16() as usize;
-    if buf.len() < n * 4 {
-        return Err("truncated route communities".into());
-    }
-    let mut comms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let asn = buf.get_u16();
-        let value = buf.get_u16();
-        comms.push(Community { asn, value });
-    }
-    if buf.len() < 8 {
-        return Err("truncated route timestamp".into());
-    }
+    let n = take(buf, 2, "truncated route community count")?.get_u16() as usize;
+    let communities = take(buf, n * 4, "truncated route communities")?
+        .chunks_exact(4)
+        .map(|mut c| Community::new(c.get_u16(), c.get_u16()));
+    let communities = CommunitySet::from_iter(communities);
     Ok(RibRoute {
         path,
         next_hop,
-        communities: CommunitySet::from_iter(comms),
-        updated_at: buf.get_u64(),
+        communities,
+        updated_at: take(buf, 8, "truncated route timestamp")?.get_u64(),
     })
 }
 

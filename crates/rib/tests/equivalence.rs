@@ -1,5 +1,6 @@
-//! The tentpole equivalence proof: for **any** generated update
-//! stream, snapshot cadence, bin size and crash plan, a time-travel
+//! The tentpole equivalence proof: for **any** generated stream —
+//! updates and RIB dumps with the paper's data faults (see
+//! `common`) — snapshot cadence, bin size and crash plan, a time-travel
 //! query answered from the nearest sealed snapshot plus the event
 //! delta is byte-identical to a full replay of the journal from
 //! genesis — and the store contents themselves are unperturbed by
@@ -10,25 +11,17 @@
 //! peer, collector) must equal the same filter applied by hand to the
 //! full replay.
 
+mod common;
+
 use std::sync::Arc;
 
-use bgp_types::{AsPath, AsPathSegment, Asn, Community, CommunitySet, Prefix, SessionState};
-use bgpstream::elem::{BgpStreamElem, ElemType};
-use bgpstream::record::{DumpPosition, RecordStatus};
+use bgp_types::{Asn, Prefix};
 use bgpstream::BgpStreamRecord;
-use broker::DumpType;
+use common::{arb_record, materialize, COLLECTORS, PEERS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rib::{MemoryRibStore, PrefixMatch, RibFold, RibQuery, RibStore, RibTable, TableRow};
 
-const PEERS: &[&str] = &["192.0.2.1", "192.0.2.2", "2001:db8::1"];
-const PREFIXES: &[&str] = &[
-    "203.0.113.0/24",
-    "198.51.100.0/24",
-    "203.0.113.128/25",
-    "2001:db8:1::/48",
-];
-const COLLECTORS: &[(&str, &str)] = &[("ris", "rrc00"), ("routeviews", "route-views2")];
 /// Prefixes narrowed queries ask about: the pool plus covering and
 /// covered prefixes outside it.
 const QUERY_PREFIXES: &[&str] = &[
@@ -89,156 +82,6 @@ fn arb_narrow() -> impl Strategy<Value = Narrow> {
         5 => Narrow::Peer(i % PEERS.len()),
         _ => Narrow::Collector(i % COLLECTORS.len()),
     })
-}
-
-/// One generated elem: what kind, from which pooled peer, about which
-/// pooled prefix, with which origin AS.
-#[derive(Clone, Debug)]
-struct GenElem {
-    kind: u8,
-    peer: usize,
-    prefix: usize,
-    origin: u32,
-}
-
-/// One generated record: a time increment, a collector, whether it is
-/// a RIB-dump record (bootstrap path) or an updates record, whether
-/// the first pooled peer shows its other ASN, and its elems.
-#[derive(Clone, Debug)]
-struct GenRecord {
-    dt: u64,
-    collector: usize,
-    rib: bool,
-    renumbered: bool,
-    elems: Vec<GenElem>,
-}
-
-fn arb_record() -> impl Strategy<Value = GenRecord> {
-    (
-        0u64..400,
-        0usize..COLLECTORS.len(),
-        any::<bool>(),
-        any::<bool>(),
-        vec(
-            (
-                0u8..5,
-                0usize..PEERS.len(),
-                0usize..PREFIXES.len(),
-                1u32..16,
-            ),
-            1..4,
-        ),
-    )
-        .prop_map(|(dt, collector, rib, renumbered, elems)| GenRecord {
-            dt,
-            collector,
-            rib,
-            renumbered,
-            elems: elems
-                .into_iter()
-                .map(|(kind, peer, prefix, origin)| GenElem {
-                    kind,
-                    peer,
-                    prefix,
-                    origin,
-                })
-                .collect(),
-        })
-}
-
-/// Materialize the generated stream as time-sorted records.
-fn materialize(gen: &[GenRecord]) -> Vec<BgpStreamRecord> {
-    let mut t = 0u64;
-    let mut out = Vec::with_capacity(gen.len());
-    for g in gen {
-        t += g.dt;
-        let (project, collector) = COLLECTORS[g.collector];
-        let mut elems = Vec::new();
-        for e in &g.elems {
-            let peer_address = PEERS[e.peer].parse().unwrap();
-            // The first pooled peer changes its ASN from record to record.
-            let peer_asn = match (e.peer, g.renumbered) {
-                (0, true) => Asn(64999),
-                _ => Asn(65000 + e.peer as u32),
-            };
-            let prefix = Some(PREFIXES[e.prefix].parse().unwrap());
-            let announce = |aggregated: bool| BgpStreamElem {
-                // A RIB-dump record's rows take the bootstrap path.
-                elem_type: if g.rib {
-                    ElemType::RibEntry
-                } else {
-                    ElemType::Announcement
-                },
-                time: t,
-                peer_address,
-                peer_asn,
-                prefix,
-                next_hop: Some(peer_address),
-                as_path: Some(if aggregated {
-                    // Ends in an AS_SET: no single origin.
-                    AsPath::from_segments(vec![
-                        AsPathSegment::Sequence(vec![peer_asn, Asn(3356)]),
-                        AsPathSegment::Set(vec![Asn(e.origin), Asn(e.origin + 1)]),
-                    ])
-                } else {
-                    AsPath::from_sequence([peer_asn.0, 3356, e.origin])
-                }),
-                communities: Some(CommunitySet::from_iter([Community::new(3356, 666)])),
-                old_state: None,
-                new_state: None,
-            };
-            let session = |state| BgpStreamElem {
-                elem_type: ElemType::PeerState,
-                time: t,
-                peer_address,
-                peer_asn,
-                prefix: None,
-                next_hop: None,
-                as_path: None,
-                communities: None,
-                old_state: Some(SessionState::Established),
-                new_state: Some(state),
-            };
-            match e.kind {
-                0 | 1 => elems.push(announce(e.kind == 1)),
-                2 => elems.push(BgpStreamElem {
-                    elem_type: ElemType::Withdrawal,
-                    next_hop: None,
-                    as_path: None,
-                    communities: None,
-                    ..announce(false)
-                }),
-                // Odd origins take the session down, even ones bring
-                // it (back) up.
-                3 => elems.push(session(if e.origin % 2 == 1 {
-                    SessionState::Idle
-                } else {
-                    SessionState::Established
-                })),
-                // A flap: down, then re-announced at the same instant,
-                // so one delta always holds both.
-                _ => {
-                    elems.push(session(SessionState::Idle));
-                    elems.push(announce(false));
-                }
-            }
-        }
-        out.push(BgpStreamRecord::new(
-            project,
-            collector,
-            if g.rib {
-                DumpType::Rib
-            } else {
-                DumpType::Updates
-            },
-            t,
-            t,
-            DumpPosition::Middle,
-            RecordStatus::Valid,
-            elems,
-        ));
-    }
-    out
 }
 
 /// Drive a fold over `records` with the sequential runner's binning,

@@ -23,8 +23,8 @@ pub fn sanctioned_boundary(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
 }
 
 pub fn prose_only() {
-    // Mentioning Instant::now, .unwrap() or DataInterface::Broker(x)
-    // in a comment is fine.
+    // Mentioning Instant::now, .unwrap() or fxhash::FxHashMap in a
+    // comment is fine.
     let doc = "and parking_lot::Mutex inside a string literal is fine";
     let raw = r#"std::sync::Condvar in a raw string is fine"#;
     let _ = (doc, raw);

@@ -28,14 +28,15 @@
 //!   be a reviewed recovery point justified with an inline
 //!   `// xcheck:allow(catch-unwind) — why` (the worker-loop and
 //!   prefetch boundaries that feed the supervisor).
-//! * **`deprecated-api`** — constructors kept only as back-compat
-//!   shims (`DataInterface::Broker(…)`) are forbidden in new library
-//!   code; `rustc`'s `#[deprecated]` lint already covers in-crate and
-//!   test uses, this rule makes the ban visible in the same pass as
-//!   the other workspace conventions.
+//! * **`unused-dep`** — every `[dependencies]` entry of a workspace
+//!   manifest must be named by one of the crate's targets (`src/`,
+//!   `tests/`, `benches/`, `examples/`), as `<lib>::…`, `use <lib>` or
+//!   `extern crate <lib>`; an entry nothing names only costs build
+//!   time and hides which crates really depend on what.
 //!
 //! Suppression is explicit and reviewable: either an inline
-//! `// xcheck:allow(<rule>)` comment on (or directly above) the line,
+//! `// xcheck:allow(<rule>)` comment (`# xcheck:allow(unused-dep)` in a
+//! manifest) on or directly above the line,
 //! or a `<rule> <path-prefix>` entry in the checked-in `xcheck.allow`
 //! at the workspace root. `#[cfg(test)]` modules and functions inside
 //! `src/` are skipped (tests may sleep and unwrap); `tests/`,
@@ -62,7 +63,6 @@ const UNWRAP_TOKENS: &[&str] = &[".unwrap()", ".expect("];
 const EXIT_TOKENS: &[&str] = &["process::exit(", "process::abort("];
 const CATCH_UNWIND_TOKENS: &[&str] = &["catch_unwind("];
 const STD_SYNC_BANNED: &[&str] = &["Mutex", "RwLock", "Condvar", "atomic", "mpsc", "Barrier"];
-const DEPRECATED_TOKENS: &[&str] = &["DataInterface::Broker("];
 
 /// One violation, printed as `file:line: [rule] message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,7 +272,6 @@ pub struct RuleScope {
     pub facade: bool,
     pub exit: bool,
     pub catch_unwind: bool,
-    pub deprecated: bool,
 }
 
 /// Scope from path conventions: `crates/*/src` and root `src/` get the
@@ -295,10 +294,6 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
             facade: crate_name != "bsync",
             exit: true,
             catch_unwind: true,
-            // The shim's own definition lives in crates/broker (and is
-            // exercised by a #[cfg(test)] test there, which this pass
-            // skips anyway); everywhere else a new use is a violation.
-            deprecated: crate_name != "broker",
         });
     }
     if rel.starts_with("src/") {
@@ -308,7 +303,6 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
             facade: true,
             exit: true,
             catch_unwind: true,
-            deprecated: true,
         });
     }
     None
@@ -429,21 +423,6 @@ pub fn scan_file(rel: &str, content: &str, scope: RuleScope, allow: &AllowList) 
                 }
             }
         }
-        if scope.deprecated && !marker_here("deprecated-api") {
-            for tok in DEPRECATED_TOKENS {
-                if code.contains(tok) {
-                    diags.push(Diagnostic {
-                        file: rel.to_string(),
-                        line: line_no,
-                        rule: "deprecated-api",
-                        message: format!(
-                            "`{}…)` is a back-compat shim; construct the client explicitly (`DataInterface::client(…)` or `BgpStreamBuilder::broker_client`)",
-                            tok
-                        ),
-                    });
-                }
-            }
-        }
     }
     diags
 }
@@ -460,6 +439,125 @@ pub fn check_crate_root(rel: &str, content: &str) -> Option<Diagnostic> {
             message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
         })
     }
+}
+
+/// The `[dependencies]` entries of a manifest: each key with its
+/// 1-based line, skipping entries waived by an inline
+/// `# xcheck:allow(unused-dep)` on or directly above the line.
+fn declared_deps(manifest: &str) -> Vec<(String, usize)> {
+    let lines: Vec<&str> = manifest.lines().collect();
+    let mut section = "";
+    let mut deps = Vec::new();
+    for (idx, raw) in lines.iter().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            section = line;
+            continue;
+        }
+        if section != "[dependencies]" || line.is_empty() {
+            continue;
+        }
+        let waived = has_allow_marker(raw, "unused-dep")
+            || (idx > 0 && has_allow_marker(lines[idx - 1], "unused-dep"));
+        let key = line.split(['=', '.']).next().unwrap_or("").trim();
+        if !key.is_empty() && !waived {
+            deps.push((key.to_string(), idx + 1));
+        }
+    }
+    deps
+}
+
+/// A manifest's package name and the name code imports its library
+/// under: `[lib] name`, else the package name with `-` spelled `_`.
+fn crate_names(manifest: &str) -> Option<(String, String)> {
+    let mut section = "";
+    let (mut package, mut lib) = (None, None);
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+            continue;
+        }
+        let Some(value) = line
+            .strip_prefix("name")
+            .and_then(|rest| rest.trim_start().strip_prefix('='))
+        else {
+            continue;
+        };
+        let value = value.trim().trim_matches('"').to_string();
+        match section {
+            "[package]" => package = Some(value),
+            "[lib]" => lib = Some(value),
+            _ => {}
+        }
+    }
+    let package = package?;
+    let lib = lib.unwrap_or_else(|| package.replace('-', "_"));
+    Some((package, lib))
+}
+
+/// Does code (comments and strings stripped) name crate `lib`?
+fn names_crate(code: &str, lib: &str) -> bool {
+    let b = code.as_bytes();
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    code.match_indices(lib).any(|(at, _)| {
+        let end = at + lib.len();
+        if at > 0 && (ident(b[at - 1]) || b[at - 1] == b':') {
+            return false;
+        }
+        let rest = &code[end..];
+        if rest.starts_with("::") {
+            return true;
+        }
+        let before = code[..at].trim_end();
+        (before.ends_with("use") || before.ends_with("extern crate"))
+            && !rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+    })
+}
+
+/// The `unused-dep` rule over one manifest: `libs` maps a dependency
+/// key to the name code imports it under (keys it lacks are imported
+/// under their own name, `-` spelled `_`), `sources` are the crate's
+/// target files.
+pub fn unused_deps(
+    rel: &str,
+    manifest: &str,
+    sources: &[String],
+    libs: &dyn Fn(&str) -> Option<String>,
+    allow: &AllowList,
+) -> Vec<Diagnostic> {
+    if allowed(allow, "unused-dep", rel) {
+        return Vec::new();
+    }
+    let code: Vec<String> = sources
+        .iter()
+        .flat_map(|src| {
+            let mut st = Lex::Code;
+            src.lines()
+                .map(|line| {
+                    let (code, next) = strip_line(line, st);
+                    st = next;
+                    code
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    declared_deps(manifest)
+        .into_iter()
+        .filter_map(|(dep, line)| {
+            let lib = libs(&dep).unwrap_or_else(|| dep.replace('-', "_"));
+            if code.iter().any(|c| names_crate(c, &lib)) {
+                return None;
+            }
+            Some(Diagnostic {
+                file: rel.to_string(),
+                line,
+                rule: "unused-dep",
+                message: format!(
+                    "dependency `{dep}` is named by none of the crate's targets; drop it"
+                ),
+            })
+        })
+        .collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -561,6 +659,37 @@ pub fn check_workspace(root: &Path) -> Vec<Diagnostic> {
         }
     }
 
+    // Manifest rule: every `[dependencies]` entry is named by a target.
+    let manifests: Vec<(PathBuf, String)> = crate_dirs(root)
+        .into_iter()
+        .filter_map(|dir| {
+            let text = std::fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+            Some((dir, text))
+        })
+        .collect();
+    let names: Vec<(String, String)> = manifests
+        .iter()
+        .filter_map(|(_, text)| crate_names(text))
+        .collect();
+    let libs = |dep: &str| {
+        names
+            .iter()
+            .find(|(package, _)| package == dep)
+            .map(|(_, lib)| lib.clone())
+    };
+    for (dir, text) in &manifests {
+        let mut files = Vec::new();
+        for target in ["src", "tests", "benches", "examples"] {
+            collect_rs(&dir.join(target), &mut files);
+        }
+        let sources: Vec<String> = files
+            .iter()
+            .filter_map(|f| std::fs::read_to_string(f).ok())
+            .collect();
+        let rel = rel_str(root, &dir.join("Cargo.toml"));
+        diags.extend(unused_deps(&rel, text, &sources, &libs, &allow));
+    }
+
     diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     diags
 }
@@ -575,7 +704,6 @@ mod tests {
         facade: true,
         exit: true,
         catch_unwind: true,
-        deprecated: true,
     };
 
     #[test]
@@ -588,7 +716,6 @@ mod tests {
         assert!(rules.contains(&"facade"), "diags: {diags:?}");
         assert!(rules.contains(&"exit"), "diags: {diags:?}");
         assert!(rules.contains(&"catch-unwind"), "diags: {diags:?}");
-        assert!(rules.contains(&"deprecated-api"), "diags: {diags:?}");
         assert!(
             check_crate_root("crates/core/src/bad.rs", bad).is_some(),
             "fixture must also miss forbid(unsafe_code)"
@@ -597,6 +724,21 @@ mod tests {
         for d in &diags {
             assert!(d.line > 0 && d.line <= bad.lines().count());
         }
+        let manifest = include_str!("../fixtures/bad.toml");
+        let diags = unused_deps(
+            "crates/core/Cargo.toml",
+            manifest,
+            &[bad.to_string()],
+            &|_| None,
+            &Vec::new(),
+        );
+        let lines: Vec<&str> = diags
+            .iter()
+            .map(|d| manifest.lines().nth(d.line - 1).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 2, "diags: {diags:?}");
+        assert!(lines[0].starts_with("fxhash") && lines[1].starts_with("rand"));
+        assert!(diags.iter().all(|d| d.rule == "unused-dep"));
     }
 
     #[test]
@@ -605,6 +747,52 @@ mod tests {
         let diags = scan_file("crates/core/src/clean.rs", clean, FULL, &Vec::new());
         assert!(diags.is_empty(), "diags: {diags:?}");
         assert!(check_crate_root("crates/core/src/clean.rs", clean).is_none());
+        let manifest = include_str!("../fixtures/clean.toml");
+        let sources = [clean.to_string()];
+        let diags = unused_deps(
+            "crates/core/Cargo.toml",
+            manifest,
+            &sources,
+            &|_| None,
+            &vec![],
+        );
+        assert!(diags.is_empty(), "diags: {diags:?}");
+    }
+
+    #[test]
+    fn unused_dep_follows_lib_names_and_import_forms() {
+        let manifest = "[package]\nname = \"x\"\n[dependencies]\nbgpstream-core.workspace = true\n";
+        let libs = |dep: &str| (dep == "bgpstream-core").then(|| "bgpstream".to_string());
+        let check = |src: &str| {
+            unused_deps(
+                "x/Cargo.toml",
+                manifest,
+                &[src.to_string()],
+                &libs,
+                &Vec::new(),
+            )
+            .len()
+        };
+        assert_eq!(check("use bgpstream::BgpStream;"), 0);
+        assert_eq!(check("use bgpstream;"), 0);
+        assert_eq!(check("extern crate bgpstream as b;"), 0);
+        assert_eq!(check("fn f() { bgpstream::codec::seal_frame(&[]); }"), 0);
+        // The package name, a longer ident or a path segment is not the crate.
+        assert_eq!(check("use bgpstream_core::X;"), 1);
+        assert_eq!(check("use my_bgpstream::X;"), 1);
+        assert_eq!(check("use crate::bgpstream::X;"), 1);
+        assert_eq!(check("// bgpstream::X in a comment"), 1);
+        assert_eq!(
+            crate_names("[package]\nname = \"bgpstream-core\"\n[lib]\nname = \"bgpstream\"\n"),
+            Some(("bgpstream-core".into(), "bgpstream".into()))
+        );
+        assert_eq!(
+            crate_names("[package]\nname = \"collector-sim\"\n"),
+            Some(("collector-sim".into(), "collector_sim".into()))
+        );
+        // A path-prefix entry in xcheck.allow waives a whole manifest.
+        let allow = parse_allowlist("unused-dep x/");
+        assert!(unused_deps("x/Cargo.toml", manifest, &[], &libs, &allow).is_empty());
     }
 
     #[test]
@@ -631,7 +819,6 @@ mod tests {
                 facade: true,
                 exit: true,
                 catch_unwind: true,
-                deprecated: true
             },
             &allow
         )
@@ -686,12 +873,6 @@ mod tests {
     fn scope_rules_follow_paths() {
         assert!(scope_for("crates/broker/src/service.rs").unwrap().unwrap);
         assert!(scope_for("crates/rib/src/table.rs").unwrap().unwrap);
-        assert!(
-            !scope_for("crates/broker/src/interface.rs")
-                .unwrap()
-                .deprecated
-        );
-        assert!(scope_for("crates/core/src/stream.rs").unwrap().deprecated);
         assert!(!scope_for("crates/topology/src/lib.rs").unwrap().unwrap);
         assert!(!scope_for("crates/bsync/src/lib.rs").unwrap().facade);
         assert!(scope_for("src/worlds.rs").unwrap().wallclock);
